@@ -3,6 +3,7 @@
 // itself and as a regression guard for the paper-scale sweeps.
 #include <benchmark/benchmark.h>
 
+#include "apps/apps.h"
 #include "bench_util.h"
 #include "common/hilbert.h"
 #include "dataspaces/dataspaces.h"
@@ -133,7 +134,8 @@ void BM_SlabCopyNaive(benchmark::State& state) {
       }
       if (done) break;
     }
-    benchmark::DoNotOptimize(dst.data().data());
+    benchmark::DoNotOptimize(dst);
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(src_box.volume() * 8));
@@ -147,7 +149,8 @@ void BM_SlabCopyStrided(benchmark::State& state) {
   nda::Slab dst = nda::Slab::zeros(nda::Box({0, 0, 0}, {n + 32, n + 32, n + 32}));
   for (auto _ : state) {
     dst.fill_from(src);
-    benchmark::DoNotOptimize(dst.data().data());
+    benchmark::DoNotOptimize(dst);
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(src_box.volume() * 8));
@@ -176,7 +179,8 @@ void BM_SlabFillSyntheticNaive(benchmark::State& state) {
       }
       if (done) break;
     }
-    benchmark::DoNotOptimize(dst.data().data());
+    benchmark::DoNotOptimize(dst);
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(src_box.volume() * 8));
@@ -190,7 +194,8 @@ void BM_SlabFillSyntheticStrided(benchmark::State& state) {
   nda::Slab dst = nda::Slab::zeros(nda::Box({0, 0, 0}, {n + 32, n + 32, n + 32}));
   for (auto _ : state) {
     dst.fill_from(src);
-    benchmark::DoNotOptimize(dst.data().data());
+    benchmark::DoNotOptimize(dst);
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(src_box.volume() * 8));
@@ -280,7 +285,8 @@ void BM_SlabCopyStridedTraced(benchmark::State& state) {
   for (auto _ : state) {
     TRACE_SPAN("bench.slab_copy", 0, 0);
     dst.fill_from(src);
-    benchmark::DoNotOptimize(dst.data().data());
+    benchmark::DoNotOptimize(dst);
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(src_box.volume() * 8));
@@ -312,7 +318,8 @@ void BM_SlabCopyStridedProfiled(benchmark::State& state) {
   for (auto _ : state) {
     PROF_TIMER("bench.slab_copy");
     dst.fill_from(src);
-    benchmark::DoNotOptimize(dst.data().data());
+    benchmark::DoNotOptimize(dst);
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(src_box.volume() * 8));
@@ -406,12 +413,61 @@ void BM_SlabExtract(benchmark::State& state) {
   const nda::Box sub({n / 4, n / 4}, {3 * n / 4, 3 * n / 4});
   for (auto _ : state) {
     nda::Slab piece = source.extract(sub);
-    benchmark::DoNotOptimize(piece.data().data());
+    benchmark::DoNotOptimize(piece);
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(sub.volume() * 8));
 }
 BENCHMARK(BM_SlabExtract)->Arg(64)->Arg(256);
+
+// One Laplace rank's output at the perfbench dataplane geometry (256 rows x
+// Arg columns): the row kernel that tiles the kernel grid into a fresh,
+// not zero-filled buffer.
+void BM_LaplaceOutput(benchmark::State& state) {
+  apps::LaplaceSim::Params params;
+  params.rank = 1;
+  params.nprocs = 4;
+  params.rows = 256;
+  params.cols_per_proc = static_cast<std::uint64_t>(state.range(0));
+  apps::LaplaceSim sim(params);
+  sim.advance();
+  for (auto _ : state) {
+    nda::Slab slab = sim.output(0);
+    benchmark::DoNotOptimize(slab);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(
+                              sim.my_box().volume() * nda::kElementBytes));
+}
+BENCHMARK(BM_LaplaceOutput)->Arg(384);
+
+// A reader's box assembled from the staged pieces of the writers it
+// overlaps (8 writers, 3 readers: ragged overlaps). Arg 1: materialized
+// pieces, copied row by row into a fresh buffer; Arg 0: synthetic pieces of
+// one seed, which stay synthetic.
+void BM_AssembleFromPieces(benchmark::State& state) {
+  const bool materialized = state.range(0) != 0;
+  const nda::Dims global = {256, 8 * 384};
+  const nda::Box box = nda::decompose_1d(global, 3, 1)[1];
+  std::vector<nda::Slab> pieces;
+  for (const nda::Box& writer : nda::decompose_1d(global, 8, 1)) {
+    if (auto overlap = nda::intersect(writer, box)) {
+      const nda::Slab out = nda::Slab::synthetic(writer, 5);
+      pieces.push_back(
+          (materialized ? out.materialize() : out).extract(*overlap));
+    }
+  }
+  for (auto _ : state) {
+    nda::Slab got = nda::assemble(box, pieces);
+    benchmark::DoNotOptimize(got);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(
+                              box.volume() * nda::kElementBytes));
+}
+BENCHMARK(BM_AssembleFromPieces)->ArgName("materialized")->Arg(0)->Arg(1);
 
 void BM_FabricReserve(benchmark::State& state) {
   sim::Engine engine;

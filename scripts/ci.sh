@@ -95,6 +95,26 @@ print("stdout hashes identical at IMC_THREADS=1 and 2:",
       ", ".join(sorted(a)))
 EOF
 
+# Freshness gate: the smoke scenarios must reproduce the stdout hashes of
+# the committed BENCH_perf.json. A change that alters simulated output
+# passes only when it re-records the baseline in the same commit (and notes
+# the change in EXPERIMENTS.md, DESIGN.md §8).
+echo "==> bench smoke: stdout hashes match the committed BENCH_perf.json"
+python3 - "$repo/BENCH_perf.json" \
+          "$repo/build-bench-smoke/BENCH_smoke_t1.json" <<'EOF'
+import json, sys
+committed = json.load(open(sys.argv[1]))["scenarios"]
+smoke = json.load(open(sys.argv[2]))["scenarios"]
+stale = [n for n in sorted(smoke)
+         if committed.get(n, {}).get("stdout_sha256")
+         != smoke[n]["stdout_sha256"]]
+if stale:
+    sys.exit(f"FAIL: scenario stdout differs from BENCH_perf.json: {stale}; "
+             "re-record it with scripts/bench.py")
+print("stdout hashes match the committed BENCH_perf.json:",
+      ", ".join(sorted(smoke)))
+EOF
+
 # Sweep perf gate: the pool must actually speed the smoke sweep up. The two
 # smoke runs above produced sequential (t1) and pooled (t2) wall clocks for
 # the same scenarios; their ratio is the measured speedup. The verdict is

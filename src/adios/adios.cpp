@@ -316,8 +316,11 @@ sim::Task<Result<nda::Slab>> Io::read(const nda::VarDesc& var,
       }
       auto hits = backends_.lustre->find_objects(path_, var, box);
       std::uint64_t covered = 0;
+      std::vector<nda::Slab> pieces;
       for (const auto* slab : hits) {
-        covered += nda::intersect(slab->box(), box)->volume();
+        const nda::Box overlap = *nda::intersect(slab->box(), box);
+        covered += overlap.volume();
+        pieces.push_back(slab->extract(overlap));
       }
       if (covered < box.volume()) {
         co_return make_error(ErrorCode::kNotFound,
@@ -325,12 +328,7 @@ sim::Task<Result<nda::Slab>> Io::read(const nda::VarDesc& var,
                                  " of " + std::to_string(box.volume()) +
                                  " elements");
       }
-      if (box.volume() <= (1ull << 22)) {
-        nda::Slab out = nda::Slab::zeros(box);
-        for (const auto* slab : hits) out.fill_from(*slab);
-        co_return out;
-      }
-      co_return nda::Slab::synthetic(box, hits.front()->seed());
+      co_return nda::assemble(box, pieces);
     }
     case Method::kDataspaces: {
       if (Status st = co_await backends_.dataspaces->wait_version(

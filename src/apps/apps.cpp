@@ -40,25 +40,23 @@ nda::Slab LammpsSim::output(int version) const {
   if (box.volume() > kMaterializeCapElems) {
     return nda::Slab::synthetic(box, params_.seed);
   }
-  // Materialize by tiling the kernel's atoms over the declared atom count.
-  nda::Slab slab = nda::Slab::zeros(box);
-  const auto& pos = kernel_.positions();
-  const auto& vel = kernel_.velocities();
-  const int n = kernel_.natoms();
-  const auto rank = static_cast<std::uint64_t>(params_.rank);
-  for (std::uint64_t atom = 0; atom < params_.atoms_per_proc; ++atom) {
-    const int k = static_cast<int>(atom % static_cast<std::uint64_t>(n));
-    const double values[5] = {pos[static_cast<std::size_t>(3 * k)],
-                              pos[static_cast<std::size_t>(3 * k + 1)],
-                              pos[static_cast<std::size_t>(3 * k + 2)],
-                              vel[static_cast<std::size_t>(3 * k)],
-                              vel[static_cast<std::size_t>(3 * k + 1)]};
-    for (std::uint64_t property = 0; property < 5; ++property) {
-      slab.set({property, rank, atom}, values[property]);
-    }
-  }
+  // Materialize by tiling the kernel's atoms over the declared atom count:
+  // row (property, rank) holds that property of atom k = atom % natoms.
+  const auto n = static_cast<std::uint64_t>(kernel_.natoms());
+  const double* pos = kernel_.positions().data();
+  const double* vel = kernel_.velocities().data();
   (void)version;
-  return slab;
+  return nda::Slab::from_rows(box, [n, pos, vel](const nda::Dims& row,
+                                                 double* out,
+                                                 std::uint64_t len) {
+    const std::uint64_t property = row[0];
+    const double* src = property < 3 ? pos + property : vel + (property - 3);
+    std::uint64_t k = row[2] % n;
+    for (std::uint64_t i = 0; i < len; ++i) {
+      out[i] = src[3 * k];
+      if (++k == n) k = 0;
+    }
+  });
 }
 
 double LammpsSim::titan_seconds_per_step() const {
@@ -103,17 +101,20 @@ nda::Slab LaplaceSim::output(int version) const {
   if (box.volume() > kMaterializeCapElems) {
     return nda::Slab::synthetic(box, params_.seed);
   }
-  nda::Slab slab = nda::Slab::zeros(box);
-  const int kn = kernel_.nx();
-  for (std::uint64_t i = box.lb[0]; i < box.ub[0]; ++i) {
-    for (std::uint64_t j = box.lb[1]; j < box.ub[1]; ++j) {
-      slab.set({i, j},
-               kernel_.at(static_cast<int>(i % static_cast<std::uint64_t>(kn)),
-                          static_cast<int>(j % static_cast<std::uint64_t>(kn))));
-    }
-  }
+  // Tile the kernel grid over the declared field: element (i, j) is grid
+  // point (i % kn, j % kn).
+  const auto kn = static_cast<std::uint64_t>(kernel_.nx());
   (void)version;
-  return slab;
+  return nda::Slab::from_rows(box, [this, kn](const nda::Dims& row,
+                                              double* out,
+                                              std::uint64_t len) {
+    const auto i = static_cast<int>(row[0] % kn);
+    std::uint64_t j = row[1] % kn;
+    for (std::uint64_t c = 0; c < len; ++c) {
+      out[c] = kernel_.at(i, static_cast<int>(j));
+      if (++j == kn) j = 0;
+    }
+  });
 }
 
 double LaplaceSim::titan_seconds_per_step() const {
@@ -170,9 +171,7 @@ nda::Slab SyntheticWriter::output(int version) const {
   if (box.volume() > kMaterializeCapElems) {
     return nda::Slab::synthetic(box, params_.seed);
   }
-  nda::Slab slab = nda::Slab::zeros(box);
-  slab.fill_from(nda::Slab::synthetic(box, params_.seed));
-  return slab;
+  return nda::Slab::synthetic(box, params_.seed).materialize();
 }
 
 }  // namespace imc::apps

@@ -47,7 +47,6 @@ struct Config {
   // Fig. 5d calibration: Decaf clients carry ~40% more library memory than
   // the DataSpaces/Flexpath clients (280 MiB base + transient pipeline).
   std::uint64_t client_base_bytes = 280 * kMiB;
-  std::uint64_t materialize_cap_elems = 1ull << 22;
 };
 
 // Node roles in the dataflow graph.

@@ -46,7 +46,6 @@ struct Config {
   std::uint64_t client_base_bytes = 200 * kMiB;
   std::uint64_t server_base_bytes = 150 * kMiB;  // Fig. 6: ~154 MB flat
   std::uint64_t per_object_meta_bytes = 200;
-  std::uint64_t materialize_cap_elems = 1ull << 22;
   // Metadata round trips (put descriptor / directory query) retry transient
   // transport timeouts under the shared policy; hard errors (kNotFound for
   // lagging readers, a crashed server's kConnectionFailed) surface

@@ -41,7 +41,6 @@ struct Config {
   // coupled workflows set it explicitly to avoid the startup race).
   int num_readers = 0;
   std::uint64_t client_base_bytes = 200 * kMiB;
-  std::uint64_t materialize_cap_elems = 1ull << 22;
 };
 
 class Flexpath {

@@ -203,11 +203,12 @@ double synthetic_value(std::uint64_t seed, const Dims& coord) {
 
 Slab Slab::materialized(Box box, std::vector<double> data) {
   assert(data.size() == box.volume());
-  Slab s;
-  s.box_ = std::move(box);
-  s.materialized_ = true;
-  s.data_ = std::move(data);
-  return s;
+  return from_rows(std::move(box),
+                   [&data, off = std::size_t{0}](const Dims&, double* out,
+                                                 std::uint64_t len) mutable {
+                     std::copy_n(data.data() + off, len, out);
+                     off += len;
+                   });
 }
 
 Slab Slab::synthetic(Box box, std::uint64_t seed) {
@@ -219,78 +220,99 @@ Slab Slab::synthetic(Box box, std::uint64_t seed) {
 }
 
 Slab Slab::zeros(Box box) {
-  std::vector<double> data(box.volume(), 0.0);
-  return materialized(std::move(box), std::move(data));
+  return from_rows(std::move(box), [](const Dims&, double* out,
+                                      std::uint64_t len) {
+    std::fill_n(out, len, 0.0);
+  });
+}
+
+Slab Slab::from_rows(Box box, const RowWriter& write_row) {
+  Slab s;
+  s.materialized_ = true;
+  s.buf_ = std::make_shared_for_overwrite<double[]>(box.volume());
+  s.buf_box_ = box;
+  s.box_ = std::move(box);
+  if (s.box_.volume() == 0) return s;
+  const std::uint64_t row_len = s.box_.extent(s.box_.dims() - 1);
+  Dims coord = s.box_.lb;
+  double* out = s.buf_.get();
+  do {
+    write_row(coord, out, row_len);
+    out += row_len;
+  } while (next_row(coord, s.box_));
+  return s;
 }
 
 std::uint64_t Slab::offset_of(const Dims& coord) const {
   std::uint64_t off = 0;
   for (std::size_t d = 0; d < coord.size(); ++d) {
     assert(coord[d] >= box_.lb[d] && coord[d] < box_.ub[d]);
-    off = off * box_.extent(static_cast<int>(d)) + (coord[d] - box_.lb[d]);
+    off = off * buf_box_.extent(static_cast<int>(d)) +
+          (coord[d] - buf_box_.lb[d]);
   }
   return off;
 }
 
+void Slab::read_row(const Dims& row_start, double* out,
+                    std::uint64_t len) const {
+  if (materialized_) {
+    std::copy_n(buf_.get() + offset_of(row_start), len, out);
+    return;
+  }
+  // One hash prefix per row, finished per element.
+  const std::uint64_t prefix = row_prefix(splitmix64(seed_), row_start);
+  const std::uint64_t c0 = row_start.back();
+  for (std::uint64_t i = 0; i < len; ++i) {
+    out[i] = unit_from_hash(splitmix64(prefix ^ (c0 + i)));
+  }
+}
+
+void Slab::detach() {
+  assert(materialized_);
+  if (buf_.use_count() == 1 && box_ == buf_box_) return;
+  *this = from_rows(box_, [this](const Dims& c, double* out,
+                                 std::uint64_t len) { read_row(c, out, len); });
+}
+
 double Slab::at(const Dims& coord) const {
   if (!materialized_) return synthetic_value(seed_, coord);
-  return data_[offset_of(coord)];
+  return buf_[offset_of(coord)];
 }
 
 void Slab::set(const Dims& coord, double value) {
-  assert(materialized_);
-  data_[offset_of(coord)] = value;
+  detach();
+  buf_[offset_of(coord)] = value;
 }
 
 void Slab::fill_from(const Slab& src) {
   assert(materialized_);
   auto overlap = intersect(box_, src.box());
-  if (!overlap || overlap->volume() == 0) return;
-  const std::size_t nd = overlap->lb.size();
-  const std::uint64_t row_len = overlap->extent(static_cast<int>(nd) - 1);
-  if (src.materialized_) {
-    if (*overlap == box_ && box_ == src.box_) {
-      // Fully-contained fast path: both buffers are exactly the overlap.
-      std::copy(src.data_.begin(), src.data_.end(), data_.begin());
-      return;
-    }
-    Dims coord = overlap->lb;
-    do {
-      std::copy_n(src.data_.data() + src.offset_of(coord), row_len,
-                  data_.data() + offset_of(coord));
-    } while (next_row(coord, *overlap));
+  if (!overlap) return;
+  if (src.materialized_ && *overlap == box_) {
+    // The source covers this whole slab: share its buffer.
+    *this = src.extract(box_);
     return;
   }
-  // Synthetic source: one hash prefix per row, finished per element.
-  const std::uint64_t c0 = overlap->lb[nd - 1];
+  detach();
+  const std::uint64_t row_len = overlap->extent(overlap->dims() - 1);
   Dims coord = overlap->lb;
   do {
-    const std::uint64_t prefix = row_prefix(splitmix64(src.seed_), coord);
-    double* row = data_.data() + offset_of(coord);
-    for (std::uint64_t i = 0; i < row_len; ++i) {
-      row[i] = unit_from_hash(splitmix64(prefix ^ (c0 + i)));
-    }
+    src.read_row(coord, buf_.get() + offset_of(coord), row_len);
   } while (next_row(coord, *overlap));
 }
 
 Slab Slab::extract(const Box& sub) const {
   assert(box_.contains(sub));
   if (!materialized_) return synthetic(sub, seed_);
-  if (sub == box_) return *this;
-  // Gather rows straight into the new buffer — no zero-fill of memory that
-  // is overwritten on the next line anyway.
-  std::vector<double> data;
-  data.reserve(sub.volume());
-  if (sub.volume() > 0) {
-    const std::size_t nd = sub.lb.size();
-    const std::uint64_t row_len = sub.extent(static_cast<int>(nd) - 1);
-    Dims coord = sub.lb;
-    do {
-      const double* row = data_.data() + offset_of(coord);
-      data.insert(data.end(), row, row + row_len);
-    } while (next_row(coord, sub));
-  }
-  return materialized(sub, std::move(data));
+  Slab window = *this;
+  window.box_ = sub;
+  return window;
+}
+
+Slab Slab::materialize() const {
+  if (materialized_) return *this;
+  return from_rows(box_, [this](const Dims& c, double* out,
+                                std::uint64_t len) { read_row(c, out, len); });
 }
 
 double Slab::checksum() const {
@@ -306,7 +328,7 @@ double Slab::checksum() const {
     const std::uint64_t hash_prefix = row_prefix(0x9e3779b9, coord);
     const std::uint64_t value_prefix =
         materialized_ ? 0 : row_prefix(splitmix64(seed_), coord);
-    const double* row = materialized_ ? data_.data() + offset_of(coord)
+    const double* row = materialized_ ? buf_.get() + offset_of(coord)
                                       : nullptr;
     for (std::uint64_t i = 0; i < row_len; ++i) {
       const std::uint64_t c = c0 + i;
@@ -317,6 +339,57 @@ double Slab::checksum() const {
     }
   } while (next_row(coord, box_));
   return sum;
+}
+
+namespace {
+
+// intersect(a, b).has_value() without building the overlap box: tiles()
+// runs it for every pair of pieces.
+bool overlaps(const Box& a, const Box& b) {
+  for (std::size_t d = 0; d < a.lb.size(); ++d) {
+    if (a.ub[d] <= b.lb[d] || b.ub[d] <= a.lb[d]) return false;
+  }
+  return true;
+}
+
+// True when the parts of `pieces` inside `box` cover each of its elements
+// exactly once.
+bool tiles(const Box& box, const std::vector<Slab>& pieces) {
+  std::vector<Box> parts;
+  std::uint64_t covered = 0;
+  for (const Slab& piece : pieces) {
+    if (auto part = intersect(piece.box(), box)) {
+      covered += part->volume();
+      parts.push_back(std::move(*part));
+    }
+  }
+  if (covered != box.volume()) return false;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    for (std::size_t j = i + 1; j < parts.size(); ++j) {
+      if (overlaps(parts[i], parts[j])) return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+Slab assemble(const Box& box, const std::vector<Slab>& pieces) {
+  const std::uint64_t seed = pieces.empty() ? 0 : pieces.front().seed();
+  if (box.volume() > kAssembleCapElems) return Slab::synthetic(box, seed);
+  const bool tiled = tiles(box, pieces);
+  const bool one_definition =
+      !pieces.empty() &&
+      std::all_of(pieces.begin(), pieces.end(), [seed](const Slab& p) {
+        return !p.is_materialized() && p.seed() == seed;
+      });
+  if (tiled && one_definition) return Slab::synthetic(box, seed);
+  // Rows no piece covers must read as zero; a tiling overwrites them all.
+  Slab out = tiled ? Slab::from_rows(box, [](const Dims&, double*,
+                                             std::uint64_t) {})
+                   : Slab::zeros(box);
+  for (const Slab& piece : pieces) out.fill_from(piece);
+  return out;
 }
 
 }  // namespace imc::nda

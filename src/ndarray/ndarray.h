@@ -13,9 +13,19 @@
 // defined by a pure function of (seed, global coordinate). Extraction and
 // assembly preserve the definition, so correctness checks (sampled equality,
 // checksums) work identically in both modes.
+//
+// A materialized slab is a box window onto a shared, reference-counted
+// buffer. Copies and extract() share the buffer; set() and fill_from()
+// first detach a shared or windowed buffer into a compact private one, so
+// no write is ever visible through another slab. Bytes are produced only
+// where a reader needs them: from_rows() writes each element once into an
+// uninitialized buffer, and assemble() keeps a read synthetic whenever the
+// pieces it is built from tile it with one synthetic definition.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -94,6 +104,11 @@ double synthetic_value(std::uint64_t seed, const Dims& coord);
 
 class Slab {
  public:
+  // Writes the `len` elements of the row that starts at global coordinate
+  // `row_start` (innermost dimension contiguous) to `out`.
+  using RowWriter =
+      std::function<void(const Dims& row_start, double* out, std::uint64_t len)>;
+
   Slab() = default;
 
   // Real content (row-major over box extents). data.size() must equal the
@@ -103,8 +118,12 @@ class Slab {
   // Content defined by synthetic_value(seed, global coordinate).
   static Slab synthetic(Box box, std::uint64_t seed);
 
-  // Materialized zero-filled slab (assembly target).
+  // Materialized zero-filled slab.
   static Slab zeros(Box box);
+
+  // Materialized slab whose rows `write_row` writes, each exactly once, into
+  // a buffer that is not zero-filled first.
+  static Slab from_rows(Box box, const RowWriter& write_row);
 
   const Box& box() const { return box_; }
   bool is_materialized() const { return materialized_; }
@@ -116,12 +135,17 @@ class Slab {
   void set(const Dims& coord, double value);  // materialized only
 
   // Copies the intersection of `src` into this slab (materialized target;
-  // synthetic or materialized source).
+  // synthetic or materialized source). A materialized source covering the
+  // whole target is shared, not copied.
   void fill_from(const Slab& src);
 
-  // A new slab covering `sub` (must be inside the box) with the same
-  // content. Synthetic slabs stay synthetic (no copy).
+  // A slab covering `sub` (must be inside the box) with the same content:
+  // a window onto the same buffer, or a synthetic slab of the same seed.
   Slab extract(const Box& sub) const;
+
+  // A materialized slab with this slab's content (this slab itself when it
+  // is already materialized).
+  Slab materialize() const;
 
   // Order-independent content fingerprint over the slab: sum of
   // hash(coord) * value over all elements. Equal content <=> equal
@@ -130,16 +154,33 @@ class Slab {
   // elements; use only on test-sized slabs.
   double checksum() const;
 
-  std::vector<double>& data() { return data_; }
-  const std::vector<double>& data() const { return data_; }
-
  private:
+  // Offset of `coord` in the buffer, whose row-major layout is buf_box_.
   std::uint64_t offset_of(const Dims& coord) const;
+  // Writes this slab's `len` elements from `row_start` on to `out`.
+  void read_row(const Dims& row_start, double* out, std::uint64_t len) const;
+  // Gives this slab a private buffer laid out exactly over box_.
+  void detach();
 
   Box box_;
   bool materialized_ = false;
   std::uint64_t seed_ = 0;
-  std::vector<double> data_;
+  std::shared_ptr<double[]> buf_;
+  Box buf_box_;
 };
+
+// Largest read a staging method assembles into real bytes. Larger reads of
+// the paper-scale runs stay synthetic.
+inline constexpr std::uint64_t kAssembleCapElems = 1ull << 22;
+
+// The slab a reader gets for `box` from the staged `pieces` that cover it,
+// pieces applied in order (a later piece wins where two overlap):
+//   * a box larger than kAssembleCapElems is synthetic(box,
+//     pieces.front().seed()), the sampled model of the paper-scale runs;
+//   * pieces that tile `box` (cover each element exactly once) and are all
+//     synthetic with one seed give synthetic(box, seed), which has the same
+//     content element for element;
+//   * otherwise the box is materialized, zero where no piece covers it.
+Slab assemble(const Box& box, const std::vector<Slab>& pieces);
 
 }  // namespace imc::nda

@@ -181,5 +181,105 @@ TEST(SyntheticWriter, MatchedLayoutSplitsLongestDimension) {
   EXPECT_EQ(box.extent(1), global[1]);
 }
 
+// Visits every coordinate of `box` in row-major order.
+template <typename F>
+void for_each_coord(const nda::Box& box, F&& visit) {
+  nda::Dims coord = box.lb;
+  for (;;) {
+    visit(coord);
+    std::size_t d = coord.size();
+    while (d-- > 0) {
+      if (++coord[d] < box.ub[d]) break;
+      coord[d] = box.lb[d];
+    }
+    if (d == static_cast<std::size_t>(-1)) return;
+  }
+}
+
+// The row-kernel outputs must equal each app's per-element definition, and
+// their checksums stay pinned to the values the per-element loops produced.
+TEST(AppOutput, LaplaceRowsMatchPerElementDefinition) {
+  struct Case {
+    int rank, nprocs;
+    std::uint64_t rows, cols;
+    int kernel_n;
+    double checksum;
+  };
+  for (const Case& c : {Case{0, 2, 64, 96, 8, 0x1.c100b6e10b3p+39},
+                        Case{3, 4, 50, 77, 12, 0x1.db898eb8df4p+38}}) {
+    LaplaceSim sim(LaplaceSim::Params{.rank = c.rank,
+                                      .nprocs = c.nprocs,
+                                      .rows = c.rows,
+                                      .cols_per_proc = c.cols,
+                                      .kernel_n = c.kernel_n});
+    sim.advance();
+    const nda::Slab out = sim.output(0);
+    ASSERT_TRUE(out.is_materialized());
+    const auto kn = static_cast<std::uint64_t>(c.kernel_n);
+    int mismatches = 0;
+    for_each_coord(out.box(), [&](const nda::Dims& x) {
+      const double want = sim.kernel().at(static_cast<int>(x[0] % kn),
+                                          static_cast<int>(x[1] % kn));
+      if (out.at(x) != want) ++mismatches;
+    });
+    EXPECT_EQ(mismatches, 0) << "rank " << c.rank;
+    EXPECT_EQ(out.checksum(), c.checksum) << "rank " << c.rank;
+  }
+}
+
+TEST(AppOutput, LammpsRowsMatchPerElementDefinition) {
+  struct Case {
+    int rank, nprocs;
+    std::uint64_t atoms;
+    int kernel_atoms;
+    double checksum;
+  };
+  for (const Case& c : {Case{0, 2, 1000, 32, 0x1.3443af016b32ap+35},
+                        Case{5, 8, 777, 108, 0x1.58c9b4ad600dfp+35}}) {
+    LammpsSim sim(LammpsSim::Params{.rank = c.rank,
+                                    .nprocs = c.nprocs,
+                                    .atoms_per_proc = c.atoms,
+                                    .kernel_atoms = c.kernel_atoms});
+    sim.advance();
+    const nda::Slab out = sim.output(0);
+    ASSERT_TRUE(out.is_materialized());
+    const auto n = static_cast<std::uint64_t>(sim.kernel().natoms());
+    const auto& pos = sim.kernel().positions();
+    const auto& vel = sim.kernel().velocities();
+    int mismatches = 0;
+    for_each_coord(out.box(), [&](const nda::Dims& x) {
+      const std::uint64_t k = x[2] % n;
+      const double want = x[0] < 3 ? pos[3 * k + x[0]] : vel[3 * k + x[0] - 3];
+      if (out.at(x) != want) ++mismatches;
+    });
+    EXPECT_EQ(mismatches, 0) << "rank " << c.rank;
+    EXPECT_EQ(out.checksum(), c.checksum) << "rank " << c.rank;
+  }
+}
+
+TEST(AppOutput, SyntheticWriterRowsMatchPerElementDefinition) {
+  struct Case {
+    int rank, nprocs;
+    bool matched;
+    std::uint64_t elements;
+    double checksum;
+  };
+  for (const Case& c : {Case{1, 3, false, 5000, 0x1.2a6b390279992p+28},
+                        Case{2, 4, true, 15360, -0x1.61a0e8d664a5ap+26}}) {
+    SyntheticWriter w(SyntheticWriter::Params{.rank = c.rank,
+                                              .nprocs = c.nprocs,
+                                              .match_staging_layout = c.matched,
+                                              .elements_per_proc = c.elements});
+    const nda::Slab out = w.output(0);
+    ASSERT_TRUE(out.is_materialized());
+    int mismatches = 0;
+    for_each_coord(out.box(), [&](const nda::Dims& x) {
+      if (out.at(x) != nda::synthetic_value(23, x)) ++mismatches;
+    });
+    EXPECT_EQ(mismatches, 0) << "rank " << c.rank;
+    EXPECT_EQ(out.checksum(), c.checksum) << "rank " << c.rank;
+  }
+}
+
 }  // namespace
 }  // namespace imc::apps

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "common/rng.h"
 #include "ndarray/ndarray.h"
 
 namespace imc::nda {
@@ -329,6 +330,158 @@ TEST(Slab, ChecksumMatchesDefinitionForBothKinds) {
   }
   EXPECT_DOUBLE_EQ(synth.checksum(), expected);
   EXPECT_DOUBLE_EQ(mat.checksum(), expected);
+}
+
+// Visits every coordinate of `box` in row-major order.
+template <typename F>
+void for_each_coord(const Box& box, F&& visit) {
+  if (box.empty()) return;
+  Dims coord = box.lb;
+  for (;;) {
+    visit(coord);
+    std::size_t d = coord.size();
+    while (d-- > 0) {
+      if (++coord[d] < box.ub[d]) break;
+      coord[d] = box.lb[d];
+    }
+    if (d == static_cast<std::size_t>(-1)) return;
+  }
+}
+
+TEST(Slab, WritesThroughCopiesAndWindowsNeverReachTheSource) {
+  const Box box({2, 3}, {10, 12});
+  Slab src = Slab::synthetic(box, 8).materialize();
+  const double before = src.checksum();
+
+  Slab copy = src;
+  copy.set({4, 5}, 99.0);
+  EXPECT_DOUBLE_EQ(copy.at({4, 5}), 99.0);
+  EXPECT_DOUBLE_EQ(src.at({4, 5}), synthetic_value(8, {4, 5}));
+
+  Slab window = src.extract(Box({3, 4}, {7, 9}));
+  window.set({3, 4}, -1.0);
+  window.fill_from(Slab::synthetic(Box({5, 5}, {20, 20}), 1));
+  EXPECT_DOUBLE_EQ(window.at({3, 4}), -1.0);
+  EXPECT_DOUBLE_EQ(window.at({6, 8}), synthetic_value(1, {6, 8}));
+
+  // A target the source covers shares its buffer; writing to it afterwards
+  // must still leave the source alone.
+  Slab shared = Slab::zeros(Box({2, 3}, {5, 6}));
+  shared.fill_from(src);
+  shared.set({2, 3}, 7.0);
+  EXPECT_DOUBLE_EQ(src.checksum(), before);
+
+  // Nor does a later write to the source reach an earlier window.
+  const Slab kept = src.extract(Box({2, 3}, {4, 5}));
+  const double kept_sum = kept.checksum();
+  src.set({2, 3}, 5.0);
+  EXPECT_DOUBLE_EQ(kept.checksum(), kept_sum);
+  EXPECT_DOUBLE_EQ(kept.at({2, 3}), synthetic_value(8, {2, 3}));
+}
+
+TEST(Slab, NarrowWindowReadsLikeACompactCopy) {
+  const Slab src = Slab::synthetic(Box({0, 0, 0}, {6, 7, 9}), 21).materialize();
+  // One element thick in dimension 1, offset in every dimension.
+  const Box sub({1, 2, 3}, {4, 3, 8});
+  const Slab window = src.extract(sub);
+  const Slab compact = Slab::synthetic(sub, 21).materialize();
+  Slab detached = window;
+  detached.set(sub.lb, window.at(sub.lb));  // forces a compact private copy
+  for_each_coord(sub, [&](const Dims& c) {
+    EXPECT_DOUBLE_EQ(window.at(c), compact.at(c));
+    EXPECT_DOUBLE_EQ(detached.at(c), compact.at(c));
+  });
+  EXPECT_DOUBLE_EQ(window.checksum(), compact.checksum());
+  EXPECT_DOUBLE_EQ(detached.checksum(), compact.checksum());
+  // A window of a window addresses the same buffer correctly.
+  const Box inner({2, 2, 4}, {3, 3, 6});
+  EXPECT_DOUBLE_EQ(window.extract(inner).checksum(),
+                   compact.extract(inner).checksum());
+}
+
+TEST(Assemble, MatchesPerElementOracleOnRandomDecompositions) {
+  // Writers cut a ragged, non-power-of-two global array on a random grid;
+  // a reader box collects the overlapping pieces, sometimes with a gap or a
+  // duplicated piece, and of synthetic, materialized or mixed kinds. The
+  // oracle applies the pieces element by element in order over zeros.
+  Rng rng(2024);
+  int synthetic_results = 0;
+  int materialized_results = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t nd = 1 + rng.next_below(3);
+    Dims global(nd);
+    std::vector<int> procs(nd);
+    Box box;
+    for (std::size_t d = 0; d < nd; ++d) {
+      global[d] = 1 + rng.next_below(13);
+      procs[d] = 1 + static_cast<int>(rng.next_below(std::min<std::uint64_t>(
+                         global[d], 5)));
+      const std::uint64_t lo = rng.next_below(global[d]);
+      box.lb.push_back(lo);
+      box.ub.push_back(lo + 1 + rng.next_below(global[d] - lo));
+    }
+    // 0: synthetic, one seed; 1: synthetic, two seeds; 2: materialized;
+    // 3: mixed kinds, one seed.
+    const std::uint64_t kind = rng.next_below(4);
+    std::vector<Slab> pieces;
+    for (const Box& writer : decompose_grid(global, procs)) {
+      auto overlap = intersect(writer, box);
+      if (!overlap) continue;
+      const std::uint64_t seed = kind == 1 ? 30 + rng.next_below(2) : 30;
+      const bool real =
+          kind == 2 || (kind == 3 && rng.next_below(2) == 0);
+      const Slab out = real ? Slab::synthetic(writer, seed).materialize()
+                            : Slab::synthetic(writer, seed);
+      pieces.push_back(out.extract(*overlap));
+    }
+    ASSERT_FALSE(pieces.empty());
+    const std::uint64_t shape = rng.next_below(4);
+    if (shape == 1 && pieces.size() > 1) {
+      pieces.erase(pieces.begin() +
+                   static_cast<std::ptrdiff_t>(rng.next_below(pieces.size())));
+    } else if (shape == 2) {
+      pieces.push_back(pieces[rng.next_below(pieces.size())]);
+    } else if (shape == 3 && pieces.size() > 1) {
+      // A gap and an overlap at once: often the same element count.
+      pieces.front() = pieces.back();
+    }
+
+    const Slab got = assemble(box, pieces);
+    ASSERT_EQ(got.box(), box);
+    bool tiled = true;
+    for_each_coord(box, [&](const Dims& c) {
+      double expected = 0.0;
+      int covering = 0;
+      for (const Slab& p : pieces) {
+        if (p.box().contains_point(c)) {
+          expected = p.at(c);
+          ++covering;
+        }
+      }
+      tiled = tiled && covering == 1;
+      ASSERT_EQ(got.at(c), expected) << "trial " << trial;
+    });
+    bool one_seed = true;
+    for (const Slab& p : pieces) {
+      one_seed = one_seed && !p.is_materialized() &&
+                 p.seed() == pieces.front().seed();
+    }
+    EXPECT_EQ(got.is_materialized(), !(one_seed && tiled))
+        << "trial " << trial;
+    ++(got.is_materialized() ? materialized_results : synthetic_results);
+  }
+  EXPECT_GT(synthetic_results, 20);
+  EXPECT_GT(materialized_results, 20);
+}
+
+TEST(Assemble, LargeReadsStaySyntheticAndEmptyBoxesAreMaterialized) {
+  const Box big({0, 0}, {4096, 2048});  // above kAssembleCapElems
+  ASSERT_GT(big.volume(), kAssembleCapElems);
+  const Slab piece = Slab::synthetic(Box({0, 0}, {1, 4}), 4).materialize();
+  const Slab got = assemble(big, {piece});
+  EXPECT_FALSE(got.is_materialized());
+  EXPECT_EQ(got.seed(), piece.seed());
+  EXPECT_TRUE(assemble(Box({0}, {0}), {}).is_materialized());
 }
 
 }  // namespace
