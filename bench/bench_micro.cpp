@@ -442,6 +442,19 @@ void BM_LaplaceOutput(benchmark::State& state) {
 }
 BENCHMARK(BM_LaplaceOutput)->Arg(384);
 
+// One LammpsSim::advance of the workflow's kernel: step(5) of the 256-atom
+// Lennard-Jones melt at rank 0's seed. The trajectory runs on across
+// iterations, so every call builds its Verlet list from a liquid.
+void BM_LjMeltStep(benchmark::State& state) {
+  apps::LjMelt md(apps::LjMelt::Params{.natoms = 256, .seed = 7});
+  for (auto _ : state) {
+    md.step(5);
+    benchmark::DoNotOptimize(md.positions().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_LjMeltStep);
+
 // A reader's box assembled from the staged pieces of the writers it
 // overlaps (8 writers, 3 readers: ragged overlaps). Arg 1: materialized
 // pieces, copied row by row into a fresh buffer; Arg 0: synthetic pieces of

@@ -115,6 +115,14 @@ print("stdout hashes match the committed BENCH_perf.json:",
       ", ".join(sorted(smoke)))
 EOF
 
+# Release kernel parity: the Debug build above runs the LJ parity oracle
+# unoptimised, while perfbench and bench/ measure -O3 code. Running the
+# oracle in the Release smoke tree as well catches a trajectory byte that
+# only the optimiser (vectorisation, contraction) would change.
+echo "==> LjMelt parity oracle (Release, build-bench-smoke)"
+cmake --build "$repo/build-bench-smoke" -j "$(nproc)" --target test_apps
+"$repo/build-bench-smoke/tests/test_apps" --gtest_filter='LjMelt*'
+
 # Sweep perf gate: the pool must actually speed the smoke sweep up. The two
 # smoke runs above produced sequential (t1) and pooled (t2) wall clocks for
 # the same scenarios; their ratio is the measured speedup. The verdict is

@@ -23,10 +23,10 @@ LammpsSim::LammpsSim(Params params)
 
 void LammpsSim::advance() { kernel_.step(params_.md_steps_per_output); }
 
-nda::VarDesc LammpsSim::output_desc(int version) const {
+nda::VarDesc LammpsSim::output_desc(const Params& params, int version) {
   return nda::VarDesc{
       "atoms",
-      {5, static_cast<std::uint64_t>(params_.nprocs), params_.atoms_per_proc},
+      {5, static_cast<std::uint64_t>(params.nprocs), params.atoms_per_proc},
       version};
 }
 
@@ -82,11 +82,11 @@ LaplaceSim::LaplaceSim(Params params)
 
 void LaplaceSim::advance() { kernel_.sweep(params_.sweeps_per_output); }
 
-nda::VarDesc LaplaceSim::output_desc(int version) const {
+nda::VarDesc LaplaceSim::output_desc(const Params& params, int version) {
   return nda::VarDesc{
       "field",
-      {params_.rows,
-       static_cast<std::uint64_t>(params_.nprocs) * params_.cols_per_proc},
+      {params.rows,
+       static_cast<std::uint64_t>(params.nprocs) * params.cols_per_proc},
       version};
 }
 
@@ -132,30 +132,28 @@ double mta_titan_seconds_per_step(std::uint64_t bytes_processed) {
 
 // ---------------------------------------------------------- Synthetic -----
 
-SyntheticWriter::SyntheticWriter(Params params) : params_(params) {
-  const auto n = static_cast<std::uint64_t>(params_.nprocs);
-  if (params_.match_staging_layout) {
+nda::VarDesc SyntheticWriter::output_desc(const Params& params,
+                                          int version) {
+  const auto n = static_cast<std::uint64_t>(params.nprocs);
+  if (params.match_staging_layout) {
     // 5 x 512 x (per-proc x nprocs): ranks and DataSpaces both split the
     // last (longest) dimension.
-    const std::uint64_t per_rank = params_.elements_per_proc / (5 * 512);
-    global_ = {5, 512, per_rank * n};
-  } else {
-    // 5 x nprocs x per-atom: ranks split dimension 1 while DataSpaces
-    // splits the longest dimension 2 (the paper's mismatched default).
-    global_ = {5, n, params_.elements_per_proc / 5};
+    const std::uint64_t per_rank = params.elements_per_proc / (5 * 512);
+    return nda::VarDesc{"synthetic", {5, 512, per_rank * n}, version};
   }
-}
-
-nda::VarDesc SyntheticWriter::output_desc(int version) const {
-  return nda::VarDesc{"synthetic", global_, version};
+  // 5 x nprocs x per-atom: ranks split dimension 1 while DataSpaces splits
+  // the longest dimension 2 (the paper's mismatched default).
+  return nda::VarDesc{"synthetic", {5, n, params.elements_per_proc / 5},
+                      version};
 }
 
 nda::Box SyntheticWriter::my_box() const {
   const auto rank = static_cast<std::uint64_t>(params_.rank);
-  nda::Box box = nda::Box::whole(global_);
+  const nda::Dims global = output_desc(0).global;
+  nda::Box box = nda::Box::whole(global);
   if (params_.match_staging_layout) {
     const std::uint64_t share =
-        global_[2] / static_cast<std::uint64_t>(params_.nprocs);
+        global[2] / static_cast<std::uint64_t>(params_.nprocs);
     box.lb[2] = rank * share;
     box.ub[2] = (rank + 1) * share;
   } else {

@@ -46,7 +46,12 @@ class LammpsSim {
   // One coupling step of the real micro-kernel.
   void advance();
 
-  nda::VarDesc output_desc(int version) const;
+  // The global descriptor depends on the Params alone, so it can be had
+  // without constructing (and running) the kernel.
+  static nda::VarDesc output_desc(const Params& params, int version);
+  nda::VarDesc output_desc(int version) const {
+    return output_desc(params_, version);
+  }
   nda::Box my_box() const;  // [0..5, rank..rank+1, 0..atoms_per_proc)
   // The rank's output slab for the current state: materialized by tiling
   // the kernel's atoms when small enough, else synthetic.
@@ -90,7 +95,10 @@ class LaplaceSim {
 
   void advance();
 
-  nda::VarDesc output_desc(int version) const;
+  static nda::VarDesc output_desc(const Params& params, int version);
+  nda::VarDesc output_desc(int version) const {
+    return output_desc(params_, version);
+  }
   nda::Box my_box() const;  // [0..rows, rank*cols..(rank+1)*cols)
   nda::Slab output(int version) const;
 
@@ -131,15 +139,17 @@ class SyntheticWriter {
     std::uint64_t seed = 23;
   };
 
-  explicit SyntheticWriter(Params params);
+  explicit SyntheticWriter(Params params) : params_(params) {}
 
-  nda::VarDesc output_desc(int version) const;
+  static nda::VarDesc output_desc(const Params& params, int version);
+  nda::VarDesc output_desc(int version) const {
+    return output_desc(params_, version);
+  }
   nda::Box my_box() const;
   nda::Slab output(int version) const;
 
  private:
   Params params_;
-  nda::Dims global_;
 };
 
 }  // namespace imc::apps

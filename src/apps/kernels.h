@@ -17,6 +17,12 @@ namespace imc::apps {
 
 // Velocity-Verlet Lennard-Jones molecular dynamics in a cubic periodic box
 // (the "melt" benchmark: an FCC solid initialized hot enough to liquefy).
+//
+// Each force pass visits the pairs i < j whose min-image distance is inside
+// the cutoff, in ascending (i, j) order, with a fixed sequence of IEEE
+// operations: the trajectory is a pure function of Params, bit for bit.
+// Within one step(n) call the pass reads those pairs from a Verlet list
+// (cutoff + 0.3 sigma skin) that lives only for that call; see DESIGN.md §8.
 class LjMelt {
  public:
   struct Params {
@@ -44,9 +50,6 @@ class LjMelt {
   std::uint64_t steps_taken() const { return steps_; }
 
  private:
-  void compute_forces();
-  double min_image(double d) const;
-
   Params params_;
   int natoms_;
   double side_;

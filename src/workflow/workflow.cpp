@@ -146,45 +146,73 @@ struct WriterApp {
   }
 };
 
+// Per-rank parameters of each writer application. The kernel only runs
+// when `run_kernel` is set; otherwise a minimal one backs the object.
+apps::LammpsSim::Params lammps_params(const Spec& spec, int rank,
+                                      bool run_kernel) {
+  apps::LammpsSim::Params p;
+  p.rank = rank;
+  p.nprocs = spec.nsim;
+  p.atoms_per_proc = spec.lammps_atoms_per_proc;
+  p.kernel_atoms = run_kernel ? 256 : 4;
+  return p;
+}
+
+apps::LaplaceSim::Params laplace_params(const Spec& spec, int rank,
+                                        bool run_kernel) {
+  apps::LaplaceSim::Params p;
+  p.rank = rank;
+  p.nprocs = spec.nsim;
+  p.rows = spec.laplace_rows;
+  p.cols_per_proc = spec.laplace_cols_per_proc;
+  p.kernel_n = run_kernel ? 48 : 8;
+  return p;
+}
+
+apps::SyntheticWriter::Params synthetic_params(const Spec& spec, int rank) {
+  apps::SyntheticWriter::Params p;
+  p.rank = rank;
+  p.nprocs = spec.nsim;
+  p.match_staging_layout = spec.synthetic_match_layout;
+  p.elements_per_proc = spec.synthetic_elements_per_proc;
+  return p;
+}
+
 WriterApp make_writer(const Spec& spec, int rank, bool run_kernel) {
   WriterApp app;
   app.kind = spec.app;
   switch (spec.app) {
-    case AppSel::kLammps: {
-      apps::LammpsSim::Params p;
-      p.rank = rank;
-      p.nprocs = spec.nsim;
-      p.atoms_per_proc = spec.lammps_atoms_per_proc;
-      p.kernel_atoms = run_kernel ? 256 : 4;
-      app.lammps = std::make_unique<apps::LammpsSim>(p);
+    case AppSel::kLammps:
+      app.lammps = std::make_unique<apps::LammpsSim>(
+          lammps_params(spec, rank, run_kernel));
       break;
-    }
-    case AppSel::kLaplace: {
-      apps::LaplaceSim::Params p;
-      p.rank = rank;
-      p.nprocs = spec.nsim;
-      p.rows = spec.laplace_rows;
-      p.cols_per_proc = spec.laplace_cols_per_proc;
-      p.kernel_n = run_kernel ? 48 : 8;
-      app.laplace = std::make_unique<apps::LaplaceSim>(p);
+    case AppSel::kLaplace:
+      app.laplace = std::make_unique<apps::LaplaceSim>(
+          laplace_params(spec, rank, run_kernel));
       break;
-    }
-    case AppSel::kSynthetic: {
-      apps::SyntheticWriter::Params p;
-      p.rank = rank;
-      p.nprocs = spec.nsim;
-      p.match_staging_layout = spec.synthetic_match_layout;
-      p.elements_per_proc = spec.synthetic_elements_per_proc;
-      app.synthetic = std::make_unique<apps::SyntheticWriter>(p);
+    case AppSel::kSynthetic:
+      app.synthetic = std::make_unique<apps::SyntheticWriter>(
+          synthetic_params(spec, rank));
       break;
-    }
   }
   return app;
 }
 
-// The global domain descriptor of step `version` (rank-independent).
+// The global domain descriptor of step `version` (rank-independent),
+// computed from the parameters without constructing an application.
 nda::VarDesc global_desc(const Spec& spec, int version) {
-  return make_writer(spec, 0, false).desc(version);
+  switch (spec.app) {
+    case AppSel::kLammps:
+      return apps::LammpsSim::output_desc(lammps_params(spec, 0, false),
+                                          version);
+    case AppSel::kLaplace:
+      return apps::LaplaceSim::output_desc(laplace_params(spec, 0, false),
+                                           version);
+    case AppSel::kSynthetic:
+      return apps::SyntheticWriter::output_desc(synthetic_params(spec, 0),
+                                                version);
+  }
+  return {};
 }
 
 // The box analytics rank `a` reads: a contiguous share of the dimension the

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <initializer_list>
+#include <string>
+#include <vector>
 
 #include "apps/analysis.h"
 #include "apps/apps.h"
@@ -49,6 +54,214 @@ TEST(LjMelt, DeterministicForSameSeed) {
   a.step(10);
   b.step(10);
   EXPECT_EQ(a.positions(), b.positions());
+}
+
+// The all-pairs Lennard-Jones kernel LjMelt started from, copied verbatim:
+// every pair i < j is visited with a branchy min-image fold. LjMelt's
+// Verlet-list pass must reproduce its trajectory bit for bit.
+class AllPairsLjMelt {
+ public:
+  explicit AllPairsLjMelt(LjMelt::Params params) : params_(params) {
+    // Build the largest FCC lattice with <= natoms atoms: 4 atoms per cell.
+    int cells = 1;
+    while (4 * (cells + 1) * (cells + 1) * (cells + 1) <=
+           params_.natoms) {
+      ++cells;
+    }
+    natoms_ = 4 * cells * cells * cells;
+    side_ = std::cbrt(static_cast<double>(natoms_) / params_.density);
+    const double a = side_ / cells;
+
+    pos_.resize(static_cast<std::size_t>(3 * natoms_));
+    vel_.resize(static_cast<std::size_t>(3 * natoms_));
+    force_.resize(static_cast<std::size_t>(3 * natoms_));
+
+    static constexpr double kBasis[4][3] = {
+        {0.0, 0.0, 0.0}, {0.5, 0.5, 0.0}, {0.5, 0.0, 0.5}, {0.0, 0.5, 0.5}};
+    int atom = 0;
+    for (int i = 0; i < cells; ++i) {
+      for (int j = 0; j < cells; ++j) {
+        for (int k = 0; k < cells; ++k) {
+          for (const auto& b : kBasis) {
+            pos_[static_cast<std::size_t>(3 * atom + 0)] = (i + b[0]) * a;
+            pos_[static_cast<std::size_t>(3 * atom + 1)] = (j + b[1]) * a;
+            pos_[static_cast<std::size_t>(3 * atom + 2)] = (k + b[2]) * a;
+            ++atom;
+          }
+        }
+      }
+    }
+
+    // Maxwell-ish velocities at the target temperature, zero net momentum.
+    Rng rng(params_.seed);
+    double mean[3] = {0, 0, 0};
+    for (int i = 0; i < natoms_; ++i) {
+      for (int d = 0; d < 3; ++d) {
+        const double v = rng.uniform(-1.0, 1.0);
+        vel_[static_cast<std::size_t>(3 * i + d)] = v;
+        mean[d] += v;
+      }
+    }
+    for (int d = 0; d < 3; ++d) mean[d] /= natoms_;
+    double ke = 0;
+    for (int i = 0; i < natoms_; ++i) {
+      for (int d = 0; d < 3; ++d) {
+        auto& v = vel_[static_cast<std::size_t>(3 * i + d)];
+        v -= mean[d];
+        ke += v * v;
+      }
+    }
+    const double current_t = ke / (3.0 * natoms_);
+    const double scale = std::sqrt(params_.temperature / current_t);
+    for (auto& v : vel_) v *= scale;
+
+    compute_forces();
+  }
+
+  void step(int n) {
+    const double dt = params_.dt;
+    for (int it = 0; it < n; ++it) {
+      for (int i = 0; i < 3 * natoms_; ++i) {
+        vel_[static_cast<std::size_t>(i)] +=
+            0.5 * dt * force_[static_cast<std::size_t>(i)];
+        pos_[static_cast<std::size_t>(i)] +=
+            dt * vel_[static_cast<std::size_t>(i)];
+        // Wrap into the periodic box.
+        auto& x = pos_[static_cast<std::size_t>(i)];
+        if (x < 0) x += side_;
+        if (x >= side_) x -= side_;
+      }
+      compute_forces();
+      for (int i = 0; i < 3 * natoms_; ++i) {
+        vel_[static_cast<std::size_t>(i)] +=
+            0.5 * dt * force_[static_cast<std::size_t>(i)];
+      }
+      ++steps_;
+    }
+  }
+
+  const std::vector<double>& positions() const { return pos_; }
+  const std::vector<double>& velocities() const { return vel_; }
+  double potential_energy() const { return potential_; }
+
+ private:
+  double min_image(double d) const {
+    if (d > 0.5 * side_) return d - side_;
+    if (d < -0.5 * side_) return d + side_;
+    return d;
+  }
+
+  void compute_forces() {
+    std::fill(force_.begin(), force_.end(), 0.0);
+    potential_ = 0;
+    const double rc2 = params_.cutoff * params_.cutoff;
+    for (int i = 0; i < natoms_; ++i) {
+      for (int j = i + 1; j < natoms_; ++j) {
+        double d[3], r2 = 0;
+        for (int k = 0; k < 3; ++k) {
+          d[k] = min_image(pos_[static_cast<std::size_t>(3 * i + k)] -
+                           pos_[static_cast<std::size_t>(3 * j + k)]);
+          r2 += d[k] * d[k];
+        }
+        if (r2 >= rc2 || r2 == 0) continue;
+        const double inv2 = 1.0 / r2;
+        const double inv6 = inv2 * inv2 * inv2;
+        const double f = 24.0 * inv2 * inv6 * (2.0 * inv6 - 1.0);
+        potential_ += 4.0 * inv6 * (inv6 - 1.0);
+        for (int k = 0; k < 3; ++k) {
+          force_[static_cast<std::size_t>(3 * i + k)] += f * d[k];
+          force_[static_cast<std::size_t>(3 * j + k)] -= f * d[k];
+        }
+      }
+    }
+  }
+
+  LjMelt::Params params_;
+  int natoms_;
+  double side_;
+  std::vector<double> pos_, vel_, force_;
+  double potential_ = 0;
+  std::uint64_t steps_ = 0;
+};
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+void expect_same_state(const LjMelt& md, const AllPairsLjMelt& ref,
+                       const std::string& where) {
+  EXPECT_TRUE(same_bytes(md.positions(), ref.positions())) << where;
+  EXPECT_TRUE(same_bytes(md.velocities(), ref.velocities())) << where;
+  const double a = md.potential_energy(), b = ref.potential_energy();
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << where;
+}
+
+// Steps both kernels through chunks of `chunks` steps each and compares
+// their states bytewise after construction and after every chunk.
+void expect_parity(LjMelt::Params params, std::initializer_list<int> chunks) {
+  LjMelt md(params);
+  AllPairsLjMelt ref(params);
+  const std::string tag = "natoms=" + std::to_string(params.natoms) +
+                          " seed=" + std::to_string(params.seed);
+  expect_same_state(md, ref, tag + " initial");
+  for (int chunk : chunks) {
+    md.step(chunk);
+    ref.step(chunk);
+    expect_same_state(md, ref, tag + " after step(" + std::to_string(chunk) +
+                                   ")");
+  }
+}
+
+// Lattice sizes from one cell (every pair inside the cutoff) to boxes much
+// wider than the cutoff; the 40-step chunk rebuilds the Verlet list within
+// one step(n) call.
+TEST(LjMeltParity, MatchesAllPairsReferenceAcrossLatticeSizes) {
+  for (int natoms : {4, 32, 108, 256, 500, 864}) {
+    expect_parity(LjMelt::Params{.natoms = natoms, .seed = 7}, {1, 5, 40});
+  }
+}
+
+// Every seed a world of up to 64 ranks gives its 256-atom kernels (the
+// workflow seeds rank r with 7 + r), at the workflow's step(5) cadence.
+TEST(LjMeltParity, MatchesAllPairsReferenceForEveryWorldSeed) {
+  for (std::uint64_t seed = 7; seed <= 70; ++seed) {
+    expect_parity(LjMelt::Params{.natoms = 256, .seed = seed}, {1, 5, 5});
+  }
+}
+
+// A lattice packed so densely that the first force pass overflows: forces,
+// then positions, turn infinite and NaN. The all-pairs loop visited every
+// pair whose distance is NaN; the list must visit the same ones.
+TEST(LjMeltParity, MatchesAllPairsReferenceOnceTheStateIsNotFinite) {
+  const LjMelt::Params params{.natoms = 32, .density = 1e70, .seed = 7};
+  expect_parity(params, {1, 5});
+  LjMelt md(params);
+  md.step(6);
+  EXPECT_TRUE(std::any_of(md.positions().begin(), md.positions().end(),
+                          [](double x) { return std::isnan(x); }));
+}
+
+std::uint64_t fnv1a(const void* data, std::size_t len, std::uint64_t h) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < len; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The state after step(15), pinned to the hash the all-pairs kernel gave.
+TEST(LjMeltParity, PinnedStateHashAfterFifteenSteps) {
+  LjMelt md(LjMelt::Params{.natoms = 256, .seed = 7});
+  md.step(15);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  h = fnv1a(md.positions().data(), md.positions().size() * sizeof(double), h);
+  h = fnv1a(md.velocities().data(), md.velocities().size() * sizeof(double),
+            h);
+  const double potential = md.potential_energy();
+  h = fnv1a(&potential, sizeof potential, h);
+  EXPECT_EQ(h, 0x44ccb7b780d16b04ull);
 }
 
 TEST(Jacobi, HotBoundaryDiffusesInward) {
