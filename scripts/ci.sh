@@ -128,8 +128,10 @@ cmake --build "$repo/build-bench-smoke" -j "$(nproc)" --target test_apps
 # the same scenarios; their ratio is the measured speedup. The verdict is
 # history-aware (imc-report gate): it hard-fails only when the committed
 # BENCH_history.json proves a same-host/same-core-count run met the 1.3x
-# floor before — an unknown host, a single core, a host class that never
-# met the floor, or IMC_PERF_GATE_SOFT=1 all degrade to a warning.
+# floor at width 2 before (read from the entry's sweep_scaling table, which
+# full mode records for every width) — an unknown host, a single core, a
+# host class that never met the floor, or IMC_PERF_GATE_SOFT=1 all degrade
+# to a warning.
 echo "==> sweep perf gate (history-aware, smoke sweep_speedup at IMC_THREADS=2)"
 speedup="$(python3 - "$repo/build-bench-smoke/BENCH_smoke_t1.json" \
                      "$repo/build-bench-smoke/BENCH_smoke_t2.json" <<'EOF'

@@ -27,7 +27,8 @@ Subcommands:
       --history FILE       committed per-host history
       --floor X            required speedup (default 1.3)
       Hard-fails (exit 1) only when a same-host/same-core-count history
-      entry proves the floor is reachable on this hardware; everything
+      entry proves the floor is reachable on this hardware at the same
+      width (its sweep_scaling table, or its headline figure); everything
       else — unknown host, single core, host that has never met the
       floor, IMC_PERF_GATE_SOFT=1 — degrades to a warning (exit 0).
 
@@ -365,6 +366,21 @@ def cmd_update_history(args):
 # gate
 # ---------------------------------------------------------------------------
 
+def speedup_at(entry, threads):
+    """The sweep speedup a history entry recorded at width `threads`.
+
+    Full mode records every width in sweep_scaling and headlines only the
+    one nearest the core count, so the table answers for any width; the
+    headline figure is the fallback for entries without the table.
+    """
+    scaling = entry.get("sweep_scaling") or {}
+    if str(threads) in scaling:
+        return scaling[str(threads)]
+    if entry.get("sweep_threads") == threads:
+        return entry.get("sweep_speedup")
+    return None
+
+
 def cmd_gate(args):
     history = load_history(args.history)
     host = host_info()
@@ -388,14 +404,13 @@ def cmd_gate(args):
     if not entries:
         return soften(f"no history for this host class "
                       f"({host['cpu_model']!r}, {host['cores']} cores)")
-    proven = [e for e in entries
-              if (e.get("sweep_speedup") or 0.0) >= floor
-              and e.get("sweep_threads") == args.threads]
+    recorded = [speedup_at(e, args.threads) for e in entries]
+    proven = [x for x in recorded if x is not None and x >= floor]
     if not proven:
         return soften("this host class has never met the floor at width "
                       f"{args.threads}; recording runs via update-history "
                       "arms the hard gate")
-    best = max(e["sweep_speedup"] for e in proven)
+    best = max(proven)
     print(f"FAIL: sweep_speedup {speedup:.2f}x below the {floor}x floor, "
           f"but this host class reached {best:.2f}x at width "
           f"{args.threads} before — hard regression", file=sys.stderr)

@@ -1,5 +1,6 @@
 #include "adios/adios.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cassert>
 #include <cstdlib>
@@ -101,6 +102,13 @@ Result<AdiosConfig> parse_config(const std::string& xml) {
 Result<nda::Dims> resolve_dims(
     const std::string& spec,
     const std::map<std::string, std::uint64_t>& symbols) {
+  // Every comma separates two dimensions; reject the rank before building.
+  const auto rank =
+      static_cast<std::size_t>(std::count(spec.begin(), spec.end(), ',')) + 1;
+  if (Status st = nda::check_rank(rank, "dimension spec '" + spec + "'");
+      !st.is_ok()) {
+    return st;
+  }
   nda::Dims dims;
   std::size_t pos = 0;
   while (pos <= spec.size()) {

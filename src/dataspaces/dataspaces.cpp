@@ -10,6 +10,14 @@
 #include "trace/trace.h"
 
 namespace imc::dataspaces {
+namespace {
+
+// VersionEntry::find predicate: the copy anchored to staging region `region`.
+auto in_region(int region) {
+  return [region](const auto& object) { return object.region == region; };
+}
+
+}  // namespace
 
 DataSpaces::DataSpaces(sim::Engine& engine, hpc::Cluster& cluster,
                        net::Transport& transport, Config config)
@@ -90,6 +98,20 @@ mem::ProcessMemory& DataSpaces::server_memory(int s) {
 
 const DataSpaces::ServerStats& DataSpaces::server_stats(int s) const {
   return servers_.at(static_cast<std::size_t>(s))->stats;
+}
+
+std::vector<nda::Slab> DataSpaces::staged_slabs(int s, std::string_view var,
+                                                int version) const {
+  std::vector<nda::Slab> out;
+  const Server& server = *servers_.at(static_cast<std::size_t>(s));
+  if (auto sit = server.staged.find(var); sit != server.staged.end()) {
+    if (auto vit = sit->second.find(version); vit != sit->second.end()) {
+      for (const StagedObject& object : vit->second.objects) {
+        out.push_back(object.slab);
+      }
+    }
+  }
+  return out;
 }
 
 std::uint64_t DataSpaces::total_staged_bytes() const {
@@ -219,10 +241,8 @@ Status DataSpaces::try_stage(Server& server, const PutPrep& req) {
     registered = req.bytes;
   }
   // Record a placeholder; the content arrives with PutCommit.
-  vit->second.objects.push_back(
+  vit->second.add(
       StagedObject{req.box, nda::Slab(), req.bytes, registered, req.region});
-  vit->second.index.insert(
-      static_cast<int>(vit->second.objects.size()) - 1, req.box);
   audit::acquire(audit::Resource::kStagedObject, server.memory->name());
   server.stats.staged_bytes += req.bytes;
   ++server.stats.puts;
@@ -293,12 +313,33 @@ void DataSpaces::handle_put_commit(Server& server, PutCommit& req) {
   if (sit == server.staged.end()) return;  // evicted already
   auto vit = sit->second.find(req.var.version);
   if (vit == sit->second.end()) return;  // evicted already
-  for (auto& object : vit->second.objects) {
-    if (object.box == req.slab.box() && !object.slab.box().volume()) {
-      object.slab = std::move(req.slab);
-      return;
+  // The first placeholder of this box still waiting for its content.
+  StagedObject* object =
+      vit->second.find(req.slab.box(), [](const StagedObject& o) {
+        return !o.slab.box().volume();
+      });
+  if (object != nullptr) object->slab = std::move(req.slab);
+}
+
+void DataSpaces::VersionEntry::add(StagedObject object) {
+  const int pos = static_cast<int>(objects.size());
+  auto [it, fresh] = first_of_key.try_emplace(key_of(object.box), pos);
+  if (!fresh) {
+    int last = it->second;
+    while (objects[static_cast<std::size_t>(last)].next_same_key >= 0) {
+      last = objects[static_cast<std::size_t>(last)].next_same_key;
     }
+    objects[static_cast<std::size_t>(last)].next_same_key = pos;
   }
+  index.insert(pos, object.box);
+  objects.push_back(std::move(object));
+}
+
+std::uint64_t DataSpaces::VersionEntry::key_of(const nda::Box& box) {
+  std::uint64_t h = splitmix64(box.lb.size());
+  for (std::uint64_t c : box.lb) h = splitmix64(h ^ c);
+  for (std::uint64_t c : box.ub) h = splitmix64(h ^ c);
+  return h;
 }
 
 void DataSpaces::evict_versions(Server& server, std::string_view var,
@@ -526,12 +567,7 @@ sim::Task<Status> DataSpaces::replicate_object(int src_id, int dst_id,
   const StagedObject* found = nullptr;
   if (auto sit = src.staged.find(var.name); sit != src.staged.end()) {
     if (auto vit = sit->second.find(var.version); vit != sit->second.end()) {
-      for (const StagedObject& object : vit->second.objects) {
-        if (object.region == region && object.box == box) {
-          found = &object;
-          break;
-        }
-      }
+      found = vit->second.find(box, in_region(region));
     }
   }
   if (found == nullptr) {
@@ -544,10 +580,8 @@ sim::Task<Status> DataSpaces::replicate_object(int src_id, int dst_id,
   // object on `dst` while this copy was in flight.
   if (auto sit = dst.staged.find(var.name); sit != dst.staged.end()) {
     if (auto vit = sit->second.find(var.version); vit != sit->second.end()) {
-      for (const StagedObject& object : vit->second.objects) {
-        if (object.region == region && object.box == box) {
-          co_return Status::ok();
-        }
+      if (vit->second.find(box, in_region(region)) != nullptr) {
+        co_return Status::ok();
       }
     }
   }
@@ -591,12 +625,7 @@ sim::Task<Status> DataSpaces::resilver_copy_once(nda::VarDesc var, int region,
     bool holds = false;
     if (auto sit = cand.staged.find(var.name); sit != cand.staged.end()) {
       if (auto vit = sit->second.find(var.version); vit != sit->second.end()) {
-        for (const StagedObject& object : vit->second.objects) {
-          if (object.region == region && object.box == box) {
-            holds = true;
-            break;
-          }
-        }
+        holds = vit->second.find(box, in_region(region)) != nullptr;
       }
     }
     if (holds && src < 0) src = id;
@@ -676,13 +705,9 @@ sim::Task<> DataSpaces::resilver(int crashed, double crashed_at) {
           if (auto sit = cand.staged.find(item.var.name);
               sit != cand.staged.end()) {
             if (auto vit = sit->second.find(item.var.version);
-                vit != sit->second.end()) {
-              for (const StagedObject& object : vit->second.objects) {
-                if (object.region == region && object.box == item.box) {
-                  ++holders;
-                  break;
-                }
-              }
+                vit != sit->second.end() &&
+                vit->second.find(item.box, in_region(region)) != nullptr) {
+              ++holders;
             }
           }
         }
@@ -723,10 +748,13 @@ sim::Task<> DataSpaces::resilver(int crashed, double crashed_at) {
 
 sim::Task<Status> DataSpaces::Client::init() {
   if (initialized_) co_return Status::ok();
-  if (Status st =
-          memory_->allocate(mem::Tag::kLibrary, ds_->config_.client_base_bytes);
-      !st.is_ok()) {
-    co_return st;
+  if (!holds_pool_) {
+    if (Status st = memory_->allocate(mem::Tag::kLibrary,
+                                      ds_->config_.client_base_bytes);
+        !st.is_ok()) {
+      co_return st;
+    }
+    holds_pool_ = true;
   }
   for (int s = 0; s < ds_->num_servers(); ++s) {
     if (Status st =
@@ -1032,9 +1060,10 @@ sim::Task<Status> DataSpaces::Client::unlock_on_read(const std::string& name) {
 }
 
 void DataSpaces::Client::finalize() {
-  if (!initialized_) return;
+  if (!holds_pool_) return;
   ds_->transport_->disconnect_all(self_);
   memory_->free(mem::Tag::kLibrary, ds_->config_.client_base_bytes);
+  holds_pool_ = false;
   initialized_ = false;
 }
 

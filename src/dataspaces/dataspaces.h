@@ -25,6 +25,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -96,6 +97,10 @@ class DataSpaces {
   net::Endpoint server_endpoint(int s) const;
   mem::ProcessMemory& server_memory(int s);
   const ServerStats& server_stats(int s) const;
+  // The objects server `s` stages for version `version` of `var`, in
+  // staging order: each one's slab, empty while its content is in flight.
+  std::vector<nda::Slab> staged_slabs(int s, std::string_view var,
+                                      int version) const;
 
   // Aggregates across servers (benches).
   std::uint64_t total_staged_bytes() const;
@@ -139,13 +144,15 @@ class DataSpaces {
     sim::Task<Status> lock_on_read(const std::string& name);
     sim::Task<Status> unlock_on_read(const std::string& name);
 
-    // dspaces_finalize: release connections and the client pool.
+    // dspaces_finalize: release connections and the client pool, also
+    // after an init whose connects failed.
     void finalize();
 
    private:
     DataSpaces* ds_;
     net::Endpoint self_;
     mem::ProcessMemory* memory_;
+    bool holds_pool_ = false;  // init allocated the client pool
     bool initialized_ = false;
   };
 
@@ -159,9 +166,15 @@ class DataSpaces {
     std::uint64_t registered = 0;  // RDMA-pinned bytes (0 on sockets/shm)
     int region = 0;  // staging region the box belongs to — the anchor of
                      // the replica chain this object must stay on
+    int next_same_key = -1;  // next position in the version with this box key
   };
   struct VersionEntry {
     std::vector<StagedObject> objects;
+    // Box key -> first position in `objects` with a box of that key; each
+    // object links the next one (next_same_key), so a lookup by box visits
+    // only the objects of that box, in insertion order. Only looked up,
+    // never iterated, so bucket order cannot reach any result.
+    std::unordered_map<std::uint64_t, int> first_of_key;
     // Spatial index over objects' boxes (ids are positions in `objects`),
     // so a get resolves overlaps without scanning every staged object.
     nda::BoxIndex index;
@@ -169,6 +182,22 @@ class DataSpaces {
     // Variable descriptor (global dims + version), kept so the resilver can
     // rebuild a PutPrep for objects whose writer is long gone.
     nda::VarDesc desc;
+
+    // Appends `object` to `objects`, the box index and its key chain.
+    void add(StagedObject object);
+    // The first object in insertion order whose box is exactly `box` and
+    // that satisfies `pred` (what a scan of `objects` finds); null if none.
+    template <typename Pred>
+    StagedObject* find(const nda::Box& box, Pred pred) {
+      auto it = first_of_key.find(key_of(box));
+      for (int i = it == first_of_key.end() ? -1 : it->second; i >= 0;
+           i = objects[static_cast<std::size_t>(i)].next_same_key) {
+        StagedObject& object = objects[static_cast<std::size_t>(i)];
+        if (object.box == box && pred(object)) return &object;
+      }
+      return nullptr;
+    }
+    static std::uint64_t key_of(const nda::Box& box);
   };
 
   // Server -> client protocol.

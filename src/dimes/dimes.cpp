@@ -459,10 +459,13 @@ void Dimes::refuse(const Server& server, Request& request) {
 
 sim::Task<Status> Dimes::Client::init() {
   if (initialized_) co_return Status::ok();
-  if (Status st = memory_->allocate(mem::Tag::kLibrary,
-                                    dimes_->config_.client_base_bytes);
-      !st.is_ok()) {
-    co_return st;
+  if (!holds_pool_) {
+    if (Status st = memory_->allocate(mem::Tag::kLibrary,
+                                      dimes_->config_.client_base_bytes);
+        !st.is_ok()) {
+      co_return st;
+    }
+    holds_pool_ = true;
   }
   for (auto& server : dimes_->servers_) {
     if (Status st = co_await dimes_->transport_->connect(self_,
@@ -821,7 +824,7 @@ sim::Task<Status> Dimes::Client::wait_version(const std::string& var,
 }
 
 void Dimes::Client::finalize() {
-  if (!initialized_) return;
+  if (!holds_pool_) return;
   for (auto& object : store_) {
     memory_->free(mem::Tag::kStaging, object.bytes);
     if (object.registered > 0) {
@@ -834,6 +837,7 @@ void Dimes::Client::finalize() {
   dimes_->transport_->disconnect_all(self_);
   dimes_->clients_.erase(self_.pid);
   memory_->free(mem::Tag::kLibrary, dimes_->config_.client_base_bytes);
+  holds_pool_ = false;
   initialized_ = false;
 }
 

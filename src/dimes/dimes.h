@@ -131,6 +131,7 @@ class Dimes {
     mem::ProcessMemory* memory_;
     std::vector<LocalObject> store_;
     std::uint64_t buffer_used_ = 0;
+    bool holds_pool_ = false;  // init allocated the client pool
     bool initialized_ = false;
   };
 

@@ -4,8 +4,23 @@
 #include <cassert>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 namespace imc::nda {
+
+void dims_overflow(std::size_t rank) {
+  throw std::length_error("nda::Dims: rank " + std::to_string(rank) +
+                          " exceeds the capacity of " +
+                          std::to_string(kMaxDims));
+}
+
+Status check_rank(std::size_t rank, const std::string& what) {
+  if (rank <= kMaxDims) return Status::ok();
+  return make_error(ErrorCode::kInvalidArgument,
+                    what + " has " + std::to_string(rank) +
+                        " dimensions; at most " + std::to_string(kMaxDims) +
+                        " are supported");
+}
 
 Box::Box(Dims lower, Dims upper) : lb(std::move(lower)), ub(std::move(upper)) {
   assert(lb.size() == ub.size());
@@ -81,25 +96,27 @@ Status check_dims_32bit(const Dims& global) {
   return Status::ok();
 }
 
-std::vector<Box> decompose_1d(const Dims& global, int parts, int dim) {
+Box block_1d(const Dims& global, int parts, int dim, int index) {
   assert(parts >= 1);
   assert(dim >= 0 && dim < static_cast<int>(global.size()));
-  const std::uint64_t extent = global[static_cast<std::size_t>(dim)];
-  assert(static_cast<std::uint64_t>(parts) <= extent);
+  assert(index >= 0 && index < parts);
+  const auto d = static_cast<std::size_t>(dim);
+  const auto n = static_cast<std::uint64_t>(parts);
+  const auto i = static_cast<std::uint64_t>(index);
+  assert(n <= global[d]);
+  // The first `rem` blocks are one element longer than the rest.
+  const std::uint64_t base = global[d] / n;
+  const std::uint64_t rem = global[d] % n;
+  Box box = Box::whole(global);
+  box.lb[d] = i * base + std::min(i, rem);
+  box.ub[d] = box.lb[d] + base + (i < rem ? 1 : 0);
+  return box;
+}
+
+std::vector<Box> decompose_1d(const Dims& global, int parts, int dim) {
   std::vector<Box> out;
   out.reserve(static_cast<std::size_t>(parts));
-  const std::uint64_t base = extent / static_cast<std::uint64_t>(parts);
-  const std::uint64_t rem = extent % static_cast<std::uint64_t>(parts);
-  std::uint64_t lo = 0;
-  for (int p = 0; p < parts; ++p) {
-    const std::uint64_t len =
-        base + (static_cast<std::uint64_t>(p) < rem ? 1 : 0);
-    Box box = Box::whole(global);
-    box.lb[static_cast<std::size_t>(dim)] = lo;
-    box.ub[static_cast<std::size_t>(dim)] = lo + len;
-    out.push_back(std::move(box));
-    lo += len;
-  }
+  for (int p = 0; p < parts; ++p) out.push_back(block_1d(global, parts, dim, p));
   return out;
 }
 
@@ -214,7 +231,6 @@ Slab Slab::materialized(Box box, std::vector<double> data) {
 Slab Slab::synthetic(Box box, std::uint64_t seed) {
   Slab s;
   s.box_ = std::move(box);
-  s.materialized_ = false;
   s.seed_ = seed;
   return s;
 }
@@ -228,14 +244,13 @@ Slab Slab::zeros(Box box) {
 
 Slab Slab::from_rows(Box box, const RowWriter& write_row) {
   Slab s;
-  s.materialized_ = true;
-  s.buf_ = std::make_shared_for_overwrite<double[]>(box.volume());
-  s.buf_box_ = box;
+  s.buf_ = std::make_shared<Buffer>(
+      Buffer{box, std::make_unique_for_overwrite<double[]>(box.volume())});
   s.box_ = std::move(box);
   if (s.box_.volume() == 0) return s;
   const std::uint64_t row_len = s.box_.extent(s.box_.dims() - 1);
   Dims coord = s.box_.lb;
-  double* out = s.buf_.get();
+  double* out = s.buf_->data.get();
   do {
     write_row(coord, out, row_len);
     out += row_len;
@@ -247,16 +262,16 @@ std::uint64_t Slab::offset_of(const Dims& coord) const {
   std::uint64_t off = 0;
   for (std::size_t d = 0; d < coord.size(); ++d) {
     assert(coord[d] >= box_.lb[d] && coord[d] < box_.ub[d]);
-    off = off * buf_box_.extent(static_cast<int>(d)) +
-          (coord[d] - buf_box_.lb[d]);
+    off = off * buf_->box.extent(static_cast<int>(d)) +
+          (coord[d] - buf_->box.lb[d]);
   }
   return off;
 }
 
 void Slab::read_row(const Dims& row_start, double* out,
                     std::uint64_t len) const {
-  if (materialized_) {
-    std::copy_n(buf_.get() + offset_of(row_start), len, out);
+  if (buf_) {
+    std::copy_n(buf_->data.get() + offset_of(row_start), len, out);
     return;
   }
   // One hash prefix per row, finished per element.
@@ -268,27 +283,27 @@ void Slab::read_row(const Dims& row_start, double* out,
 }
 
 void Slab::detach() {
-  assert(materialized_);
-  if (buf_.use_count() == 1 && box_ == buf_box_) return;
+  assert(buf_);
+  if (buf_.use_count() == 1 && box_ == buf_->box) return;
   *this = from_rows(box_, [this](const Dims& c, double* out,
                                  std::uint64_t len) { read_row(c, out, len); });
 }
 
 double Slab::at(const Dims& coord) const {
-  if (!materialized_) return synthetic_value(seed_, coord);
-  return buf_[offset_of(coord)];
+  if (!buf_) return synthetic_value(seed_, coord);
+  return buf_->data[offset_of(coord)];
 }
 
 void Slab::set(const Dims& coord, double value) {
   detach();
-  buf_[offset_of(coord)] = value;
+  buf_->data[offset_of(coord)] = value;
 }
 
 void Slab::fill_from(const Slab& src) {
-  assert(materialized_);
+  assert(buf_);
   auto overlap = intersect(box_, src.box());
   if (!overlap) return;
-  if (src.materialized_ && *overlap == box_) {
+  if (src.buf_ && *overlap == box_) {
     // The source covers this whole slab: share its buffer.
     *this = src.extract(box_);
     return;
@@ -297,20 +312,20 @@ void Slab::fill_from(const Slab& src) {
   const std::uint64_t row_len = overlap->extent(overlap->dims() - 1);
   Dims coord = overlap->lb;
   do {
-    src.read_row(coord, buf_.get() + offset_of(coord), row_len);
+    src.read_row(coord, buf_->data.get() + offset_of(coord), row_len);
   } while (next_row(coord, *overlap));
 }
 
 Slab Slab::extract(const Box& sub) const {
   assert(box_.contains(sub));
-  if (!materialized_) return synthetic(sub, seed_);
+  if (!buf_) return synthetic(sub, seed_);
   Slab window = *this;
   window.box_ = sub;
   return window;
 }
 
 Slab Slab::materialize() const {
-  if (materialized_) return *this;
+  if (buf_) return *this;
   return from_rows(box_, [this](const Dims& c, double* out,
                                 std::uint64_t len) { read_row(c, out, len); });
 }
@@ -327,9 +342,8 @@ double Slab::checksum() const {
   do {
     const std::uint64_t hash_prefix = row_prefix(0x9e3779b9, coord);
     const std::uint64_t value_prefix =
-        materialized_ ? 0 : row_prefix(splitmix64(seed_), coord);
-    const double* row = materialized_ ? buf_.get() + offset_of(coord)
-                                      : nullptr;
+        buf_ ? 0 : row_prefix(splitmix64(seed_), coord);
+    const double* row = buf_ ? buf_->data.get() + offset_of(coord) : nullptr;
     for (std::uint64_t i = 0; i < row_len; ++i) {
       const std::uint64_t c = c0 + i;
       const double value =

@@ -23,8 +23,12 @@
 // pieces it is built from tile it with one synthetic definition.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <compare>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -35,7 +39,80 @@
 
 namespace imc::nda {
 
-using Dims = std::vector<std::uint64_t>;
+// Largest rank a global array may have. Every study variable is 1-D to 3-D;
+// parsers of external input reject more with kInvalidArgument before they
+// build a Dims (check_rank), and code that exceeds it anyway throws.
+inline constexpr std::size_t kMaxDims = 4;
+
+// Throws std::length_error naming the rank, the way a vector reports a size
+// past max_size(); Dims calls it in every build type when a rank would
+// exceed kMaxDims. The engine records it as the failure of the process.
+[[noreturn]] void dims_overflow(std::size_t rank);
+
+// kInvalidArgument when `rank` exceeds kMaxDims; `what` names the input.
+Status check_rank(std::size_t rank, const std::string& what);
+
+// A coordinate or extent per dimension: the vector surface the code uses,
+// stored inline so that a Box, an intersection or a coordinate walk never
+// touches the allocator. Elements past size() stay zero.
+class Dims {
+ public:
+  using value_type = std::uint64_t;
+  using size_type = std::size_t;
+  using iterator = std::uint64_t*;
+  using const_iterator = const std::uint64_t*;
+
+  constexpr Dims() = default;
+  explicit Dims(std::size_t n, std::uint64_t value = 0) { assign(n, value); }
+  Dims(std::initializer_list<std::uint64_t> values) {
+    set_size(values.size());
+    std::copy(values.begin(), values.end(), v_.begin());
+  }
+
+  std::size_t size() const { return n_; }
+  bool empty() const { return n_ == 0; }
+  std::uint64_t& operator[](std::size_t i) { return v_[i]; }
+  std::uint64_t operator[](std::size_t i) const { return v_[i]; }
+  std::uint64_t back() const { return v_[n_ - 1u]; }
+  iterator begin() { return v_.data(); }
+  iterator end() { return v_.data() + n_; }
+  const_iterator begin() const { return v_.data(); }
+  const_iterator end() const { return v_.data() + n_; }
+
+  void resize(std::size_t n, std::uint64_t value = 0) {
+    const std::size_t old = n_;
+    set_size(n);
+    if (n > old) std::fill(v_.begin() + old, v_.begin() + n, value);
+    std::fill(v_.begin() + n, v_.end(), 0);
+  }
+  void assign(std::size_t n, std::uint64_t value) {
+    set_size(n);
+    std::fill(v_.begin(), v_.begin() + n, value);
+    std::fill(v_.begin() + n, v_.end(), 0);
+  }
+  void push_back(std::uint64_t value) {
+    const std::size_t i = n_;
+    set_size(i + 1);
+    v_[i] = value;
+  }
+
+  // Zero padding makes whole-array comparison equal to element-wise
+  // comparison of the first size() values, ranks compared like vectors.
+  bool operator==(const Dims& other) const = default;
+  std::strong_ordering operator<=>(const Dims& other) const {
+    return std::lexicographical_compare_three_way(begin(), end(),
+                                                  other.begin(), other.end());
+  }
+
+ private:
+  void set_size(std::size_t n) {
+    if (n > kMaxDims) [[unlikely]] dims_overflow(n);
+    n_ = static_cast<std::uint8_t>(n);
+  }
+
+  std::array<std::uint64_t, kMaxDims> v_{};
+  std::uint8_t n_ = 0;
+};
 
 // Half-open axis-aligned box: [lb[d], ub[d]) per dimension.
 struct Box {
@@ -72,6 +149,9 @@ Status check_dims_32bit(const Dims& global);
 // Splits `global` into `parts` equal blocks along dimension `dim`
 // (remainder spread over the first blocks). parts must be <= extent.
 std::vector<Box> decompose_1d(const Dims& global, int parts, int dim);
+
+// Block `index` of decompose_1d(global, parts, dim), built on its own.
+Box block_1d(const Dims& global, int parts, int dim, int index);
 
 // Cartesian block grid: procs_per_dim[d] blocks along dimension d.
 std::vector<Box> decompose_grid(const Dims& global,
@@ -126,7 +206,7 @@ class Slab {
   static Slab from_rows(Box box, const RowWriter& write_row);
 
   const Box& box() const { return box_; }
-  bool is_materialized() const { return materialized_; }
+  bool is_materialized() const { return buf_ != nullptr; }
   std::uint64_t seed() const { return seed_; }
   std::uint64_t declared_bytes() const { return box_.volume() * kElementBytes; }
 
@@ -155,7 +235,15 @@ class Slab {
   double checksum() const;
 
  private:
-  // Offset of `coord` in the buffer, whose row-major layout is buf_box_.
+  // A materialized slab's elements, shared by its copies and windows, laid
+  // out row-major over `box`. Synthetic slabs, the many placeholders of the
+  // staging servers among them, carry no buffer and so no second box.
+  struct Buffer {
+    Box box;
+    std::unique_ptr<double[]> data;
+  };
+
+  // Offset of `coord` in the buffer, whose row-major layout is buf_->box.
   std::uint64_t offset_of(const Dims& coord) const;
   // Writes this slab's `len` elements from `row_start` on to `out`.
   void read_row(const Dims& row_start, double* out, std::uint64_t len) const;
@@ -163,10 +251,8 @@ class Slab {
   void detach();
 
   Box box_;
-  bool materialized_ = false;
   std::uint64_t seed_ = 0;
-  std::shared_ptr<double[]> buf_;
-  Box buf_box_;
+  std::shared_ptr<Buffer> buf_;  // null for a synthetic slab
 };
 
 // Largest read a staging method assembles into real bytes. Larger reads of

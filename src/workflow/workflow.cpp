@@ -232,8 +232,7 @@ nda::Box reader_box(const Spec& spec, int a) {
       dim = spec.synthetic_match_layout ? 2 : 1;
       break;
   }
-  auto boxes = nda::decompose_1d(desc.global, spec.nana, dim);
-  return boxes[static_cast<std::size_t>(a)];
+  return nda::block_1d(desc.global, spec.nana, dim, a);
 }
 
 // Everything one run needs, owned for the run's duration.
@@ -254,6 +253,11 @@ struct Ctx {
   std::unique_ptr<flexpath::Flexpath> flexpath;
   adios::AdiosConfig adios_config;
   adios::GroupDecl adios_group;
+  // Staging clients by rank: simulation ranks first, then analytics ranks.
+  // The world owns them, not the rank's frame, so a rank that stops on a
+  // failure path leaves its pool and staged objects to release_clients().
+  std::vector<std::unique_ptr<dataspaces::DataSpaces::Client>> ds_clients;
+  std::vector<std::unique_ptr<dimes::Dimes::Client>> dimes_clients;
 
   std::unique_ptr<mpi::Comm> sim_comm;
   std::unique_ptr<mpi::Comm> world;  // Decaf
@@ -289,6 +293,35 @@ struct Ctx {
   }
 
   void fail(std::string what) { failures.push_back(std::move(what)); }
+
+  // Creates the staging client of rank slot `slot` for the deployed method
+  // and returns it (both null for methods without one).
+  std::pair<dataspaces::DataSpaces::Client*, dimes::Dimes::Client*>
+  make_clients(int slot, const net::Endpoint& self,
+               mem::ProcessMemory& memory) {
+    const auto i = static_cast<std::size_t>(slot);
+    if (ds) {
+      ds_clients[i] =
+          std::make_unique<dataspaces::DataSpaces::Client>(*ds, self, memory);
+    }
+    if (dimes) {
+      dimes_clients[i] =
+          std::make_unique<dimes::Dimes::Client>(*dimes, self, memory);
+    }
+    return {ds_clients[i].get(), dimes_clients[i].get()};
+  }
+
+  // Finalizes every client a rank left holding its pool (after a failed
+  // step, or an init whose connects failed), the way the rank's own
+  // finalize would have. Synchronous, so no simulated time passes.
+  void release_clients() {
+    for (auto& client : ds_clients) {
+      if (client) client->finalize();
+    }
+    for (auto& client : dimes_clients) {
+      if (client) client->finalize();
+    }
+  }
 };
 
 int default_servers(const Spec& spec) {
@@ -335,28 +368,19 @@ sim::Task<> sim_rank(Ctx& ctx, int r) {
   }
 
   // Per-method client state.
-  std::unique_ptr<dataspaces::DataSpaces::Client> ds_client;
-  std::unique_ptr<dimes::Dimes::Client> dimes_client;
   std::unique_ptr<flexpath::Flexpath::Writer> fp_writer;
   std::unique_ptr<adios::Io> io;
 
   const net::Endpoint self = ctx.sim_ep(r);
-  if (ctx.ds) {
-    ds_client = std::make_unique<dataspaces::DataSpaces::Client>(*ctx.ds, self,
-                                                                 memory);
-  }
-  if (ctx.dimes) {
-    dimes_client =
-        std::make_unique<dimes::Dimes::Client>(*ctx.dimes, self, memory);
-  }
+  auto [ds_client, dimes_client] = ctx.make_clients(r, self, memory);
   if (ctx.flexpath) {
     fp_writer = std::make_unique<flexpath::Flexpath::Writer>(*ctx.flexpath,
                                                              self, memory);
   }
   if (via_adios(spec.method)) {
     adios::Io::Backends backends;
-    backends.dataspaces = ds_client.get();
-    backends.dimes = dimes_client.get();
+    backends.dataspaces = ds_client;
+    backends.dimes = dimes_client;
     backends.flexpath_writer = fp_writer.get();
     backends.lustre = ctx.fs.get();
     backends.node = self.node;
@@ -510,19 +534,11 @@ sim::Task<> ana_rank(Ctx& ctx, int a) {
     co_return;
   }
 
-  std::unique_ptr<dataspaces::DataSpaces::Client> ds_client;
-  std::unique_ptr<dimes::Dimes::Client> dimes_client;
   std::unique_ptr<flexpath::Flexpath::Reader> fp_reader;
   std::unique_ptr<adios::Io> io;
   const net::Endpoint self = ctx.ana_ep(a);
-  if (ctx.ds) {
-    ds_client = std::make_unique<dataspaces::DataSpaces::Client>(*ctx.ds, self,
-                                                                 memory);
-  }
-  if (ctx.dimes) {
-    dimes_client =
-        std::make_unique<dimes::Dimes::Client>(*ctx.dimes, self, memory);
-  }
+  auto [ds_client, dimes_client] =
+      ctx.make_clients(spec.nsim + a, self, memory);
   if (ctx.flexpath) {
     co_await ctx.writers_ready->wait();  // subscribe after publishers exist
     fp_reader = std::make_unique<flexpath::Flexpath::Reader>(*ctx.flexpath,
@@ -530,8 +546,8 @@ sim::Task<> ana_rank(Ctx& ctx, int a) {
   }
   if (via_adios(spec.method)) {
     adios::Io::Backends backends;
-    backends.dataspaces = ds_client.get();
-    backends.dimes = dimes_client.get();
+    backends.dataspaces = ds_client;
+    backends.dimes = dimes_client;
     backends.flexpath_reader = fp_reader.get();
     backends.lustre = ctx.fs.get();
     backends.node = self.node;
@@ -926,6 +942,8 @@ RunResult run(const Spec& spec) {
   ctx.ana_compute.assign(static_cast<std::size_t>(spec.nana), 0);
   ctx.ana_staging.assign(static_cast<std::size_t>(spec.nana), 0);
   ctx.ana_done.assign(static_cast<std::size_t>(spec.nana), -1);
+  ctx.ds_clients.resize(static_cast<std::size_t>(spec.nsim + spec.nana));
+  ctx.dimes_clients.resize(static_cast<std::size_t>(spec.nsim + spec.nana));
 
   // Deploy the selected method's infrastructure. In shared-node mode the
   // staging servers are colocated with the simulation (the whole point of
@@ -1173,6 +1191,7 @@ RunResult run(const Spec& spec) {
     // members they reference go away. Frame unwinding releases their RAII
     // resources, so this must run before the leak ledger is read.
     ctx.engine.reap_processes();
+    ctx.release_clients();
   }
 
   // Correctness tooling: the event-stream digest folded with the

@@ -98,6 +98,30 @@ TEST(Config, ResolveDimsUnknownSymbolFails) {
   EXPECT_FALSE(resolve_dims("5,unknown", {}).has_value());
 }
 
+TEST(Config, ResolveDimsRejectsMoreDimensionsThanDimsHolds) {
+  auto four = resolve_dims("1,2,n,4", {{"n", 3}});
+  ASSERT_TRUE(four.has_value()) << four.status();
+  EXPECT_EQ(*four, (nda::Dims{1, 2, 3, 4}));
+  EXPECT_EQ(resolve_dims("1,2,3,4,5", {}).status().code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(resolve_dims("n,n,n,n,n", {{"n", 8}}).status().code(),
+            ErrorCode::kInvalidArgument);
+  std::string long_list = "7";
+  for (int i = 0; i < 4096; ++i) long_list += ",7";
+  EXPECT_EQ(resolve_dims(long_list, {}).status().code(),
+            ErrorCode::kInvalidArgument);
+}
+
+TEST(Config, ResolveDimsRejectsOddCommaLists) {
+  for (const char* spec :
+       {"", ",", ",,,,", ",,,,,,,,,,,,", "1,,2", "1,2,", ",1", " , ", "1, ,2",
+        "1,2,3,4,"}) {
+    auto dims = resolve_dims(spec, {});
+    EXPECT_EQ(dims.status().code(), ErrorCode::kInvalidArgument)
+        << "'" << spec << "'";
+  }
+}
+
 TEST(Methods, RoundTripNames) {
   EXPECT_EQ(*parse_method("MPI"), Method::kMpiIo);
   EXPECT_EQ(*parse_method("DATASPACES"), Method::kDataspaces);

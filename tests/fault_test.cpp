@@ -378,6 +378,8 @@ TEST(FaultWorkflow, MpiIoFallbackRecoversTheAnalysis) {
   EXPECT_TRUE(result.fault.fallback_activated);
   EXPECT_GT(result.fault.time_to_recover, 0.0);
   EXPECT_FALSE(result.recovered_failures.empty());
+  // The failed primary attempt releases everything it held.
+  EXPECT_TRUE(result.leaks.empty()) << ::testing::PrintToString(result.leaks);
 
   // Fallback equivalence: the replay computes exactly what a fault-free
   // MPI-IO run of the same workflow computes.
@@ -398,6 +400,7 @@ TEST(FaultWorkflow, DimesMetadataCrashFailsTypedAndFallsBack) {
   EXPECT_TRUE(result.fault.fallback_activated);
   EXPECT_EQ(result.fault.server_crashes, 1u);
   EXPECT_FALSE(result.recovered_failures.empty());
+  EXPECT_TRUE(result.leaks.empty()) << ::testing::PrintToString(result.leaks);
 }
 
 TEST(FaultWorkflow, StragglerPlanSlowsTheMarkedRanks) {

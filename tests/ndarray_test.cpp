@@ -1,12 +1,100 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <stdexcept>
+#include <type_traits>
+#include <vector>
 
 #include "common/rng.h"
 #include "ndarray/ndarray.h"
 
 namespace imc::nda {
 namespace {
+
+// Boxes are copied into every index entry, request and coroutine frame of
+// the staging path; inline coordinates keep those copies off the heap.
+static_assert(std::is_trivially_copyable_v<Dims>);
+static_assert(std::is_trivially_copyable_v<Box>);
+static_assert(sizeof(Box) == 2 * sizeof(Dims));
+static_assert(sizeof(Dims) <= (kMaxDims + 1) * sizeof(std::uint64_t));
+
+TEST(Dims, EqualityComparesRankAndValues) {
+  EXPECT_EQ(Dims{}, Dims());
+  EXPECT_EQ((Dims{1, 2}), (Dims{1, 2}));
+  EXPECT_NE((Dims{1, 2}), (Dims{1, 3}));
+  // Same leading values, different rank: never equal, zeros included.
+  EXPECT_NE((Dims{0, 0}), (Dims{0, 0, 0}));
+  EXPECT_NE((Dims{5}), (Dims{5, 0}));
+  EXPECT_NE(Dims{}, (Dims{0}));
+  // A shrunk Dims equals one built at the smaller rank.
+  Dims d = {4, 5, 6};
+  d.resize(2);
+  EXPECT_EQ(d, (Dims{4, 5}));
+}
+
+TEST(Dims, OrdersLikeAVectorAndWorksAsAMapKey) {
+  Rng rng(0xd1a5);
+  std::vector<Dims> dims;
+  std::vector<std::vector<std::uint64_t>> vecs;
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t n = rng.next_below(kMaxDims + 1);
+    Dims d;
+    std::vector<std::uint64_t> v;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::uint64_t x = rng.next_below(3);
+      d.push_back(x);
+      v.push_back(x);
+    }
+    dims.push_back(d);
+    vecs.push_back(v);
+  }
+  for (std::size_t i = 0; i < dims.size(); ++i) {
+    for (std::size_t j = 0; j < dims.size(); ++j) {
+      ASSERT_EQ(dims[i] < dims[j], vecs[i] < vecs[j]) << i << " " << j;
+      ASSERT_EQ(dims[i] == dims[j], vecs[i] == vecs[j]) << i << " " << j;
+    }
+  }
+  // The staging-region cache keys on (global dims, servers).
+  std::map<std::pair<Dims, int>, int> cache;
+  cache[{Dims{64, 64}, 4}] = 1;
+  cache[{Dims{64, 64, 1}, 4}] = 2;
+  cache[{Dims{64, 64}, 8}] = 3;
+  cache[{Dims{64, 64}, 4}] = 4;
+  ASSERT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.begin()->second, 4);
+  EXPECT_EQ((cache[{Dims{64, 64, 1}, 4}]), 2);
+}
+
+TEST(Dims, ResizeAssignAndPushBackKeepVectorSemantics) {
+  Dims d(3);
+  EXPECT_EQ(d, (Dims{0, 0, 0}));
+  d.assign(2, 9);
+  EXPECT_EQ(d, (Dims{9, 9}));
+  d.push_back(4);
+  EXPECT_EQ(d, (Dims{9, 9, 4}));
+  EXPECT_EQ(d.back(), 4u);
+  d.resize(4, 7);
+  EXPECT_EQ(d, (Dims{9, 9, 4, 7}));
+  d.resize(1);
+  d.resize(3);  // grown slots read as zero, not as the values dropped
+  EXPECT_EQ(d, (Dims{9, 0, 0}));
+  std::uint64_t sum = 0;
+  for (std::uint64_t x : d) sum += x;
+  EXPECT_EQ(sum, 9u);
+  EXPECT_EQ(Dims(kMaxDims, 1).size(), kMaxDims);
+}
+
+TEST(Dims, GrowingPastTheCapacityThrowsInEveryBuild) {
+  EXPECT_THROW(Dims(kMaxDims + 1), std::length_error);
+  Dims full(kMaxDims, 2);
+  EXPECT_THROW(full.push_back(3), std::length_error);
+  EXPECT_THROW(full.resize(kMaxDims + 1), std::length_error);
+  EXPECT_EQ(full, Dims(kMaxDims, 2));
+  EXPECT_EQ(check_rank(kMaxDims, "spec").code(), ErrorCode::kOk);
+  EXPECT_EQ(check_rank(kMaxDims + 1, "spec").code(),
+            ErrorCode::kInvalidArgument);
+}
 
 TEST(Box, VolumeAndExtent) {
   Box b({0, 10}, {5, 30});
@@ -90,6 +178,39 @@ TEST(Decompose1D, RemainderSpreadOverFirstBlocks) {
   EXPECT_EQ(boxes[0].ub[0], boxes[1].lb[0]);
   EXPECT_EQ(boxes[1].ub[0], boxes[2].lb[0]);
   EXPECT_EQ(boxes[2].ub[0], 10u);
+}
+
+// block_1d against the running-sum definition decompose_1d had before it
+// was built from block_1d, for every index of a sweep of splits.
+TEST(Decompose1D, BlockMatchesTheRunningSumSplitAtEveryIndex) {
+  for (const Dims& global : {Dims{10}, Dims{4, 100}, Dims{3, 7, 11},
+                             Dims{32, 48, 64}, Dims{5, 1, 1, 9}}) {
+    for (int dim = 0; dim < static_cast<int>(global.size()); ++dim) {
+      const std::uint64_t extent = global[static_cast<std::size_t>(dim)];
+      for (int parts = 1; parts <= static_cast<int>(extent); ++parts) {
+        const auto blocks = decompose_1d(global, parts, dim);
+        ASSERT_EQ(blocks.size(), static_cast<std::size_t>(parts));
+        std::uint64_t lo = 0;
+        for (int p = 0; p < parts; ++p) {
+          const std::uint64_t len =
+              extent / static_cast<std::uint64_t>(parts) +
+              (static_cast<std::uint64_t>(p) <
+                       extent % static_cast<std::uint64_t>(parts)
+                   ? 1
+                   : 0);
+          Box expect = Box::whole(global);
+          expect.lb[static_cast<std::size_t>(dim)] = lo;
+          expect.ub[static_cast<std::size_t>(dim)] = lo + len;
+          lo += len;
+          const Box got = block_1d(global, parts, dim, p);
+          ASSERT_EQ(got, expect) << global.size() << "-D dim " << dim
+                                 << " parts " << parts << " index " << p;
+          ASSERT_EQ(got, blocks[static_cast<std::size_t>(p)]);
+        }
+        ASSERT_EQ(lo, extent);
+      }
+    }
+  }
 }
 
 class DecomposePartition

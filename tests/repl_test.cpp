@@ -174,6 +174,60 @@ TEST_F(ReplDsFixture, CrashedPrimaryIsTransparentAndResilverRestoresCopies) {
   engine.run();
 }
 
+TEST_F(ReplDsFixture, DuplicateBoxCommitsFillPlaceholdersInStagingOrder) {
+  // Factor 2 on four servers; region 0's chain is servers 0, 1, 2. Writer
+  // W stages region 0's box X on servers 0 and 1; server 0 dies and the
+  // resilver copies X from server 1 onto server 2 (a replicate_object
+  // copy, committed on arrival). Writers A and B then put the identical box
+  // X into the same version, each onto servers 1 and 2. Every commit must
+  // fill the first placeholder of X still waiting for content, in staging
+  // order, so each server ends with W's, A's and B's content in that order.
+  Policy policy;
+  policy.factor = 2;
+  Coordinator coordinator(policy);
+  ScopedReplPolicy repl_bind(coordinator);
+  fault::Plan plan;
+  plan.server_crash = {0.5, 0};
+  fault::Injector injector(plan);
+  fault::ScopedFaultPlan fault_bind(injector);
+
+  auto ds = deploy(4);
+  std::vector<Rank> writers;
+  for (int pid = 1; pid <= 3; ++pid) writers.push_back(make_rank(*ds, pid));
+  const VarDesc var{"field", {16, 32}, 0};
+  const Box x({0, 0}, {16, 8});  // exactly staging region 0
+  const std::vector<std::uint64_t> seeds = {11, 12, 13};  // W, A, B
+
+  engine.spawn([](sim::Engine& e, std::vector<Rank>& ranks, VarDesc v, Box b,
+                  std::vector<std::uint64_t> content) -> sim::Task<> {
+    for (std::size_t i = 0; i < ranks.size(); ++i) {
+      EXPECT_TRUE((co_await ranks[i].client->init()).is_ok());
+      // W before the crash; A and B after the resilver settled.
+      if (i == 1) co_await e.sleep(1.0);
+      Status st = co_await ranks[i].client->put(
+          v, Slab::synthetic(b, content[i]));
+      EXPECT_TRUE(st.is_ok()) << st;
+    }
+  }(engine, writers, var, x, seeds));
+  run_all();
+  EXPECT_EQ(coordinator.stats().resilver_copies, 1u);
+
+  for (int server : {1, 2}) {
+    const std::vector<Slab> staged = ds->staged_slabs(server, "field", 0);
+    ASSERT_EQ(staged.size(), seeds.size()) << "server " << server;
+    for (std::size_t i = 0; i < staged.size(); ++i) {
+      EXPECT_EQ(staged[i].box(), x) << "server " << server << " object " << i;
+      EXPECT_EQ(staged[i].seed(), seeds[i])
+          << "server " << server << " object " << i;
+    }
+  }
+  EXPECT_TRUE(ds->staged_slabs(3, "field", 0).empty());
+
+  for (Rank& w : writers) w.client->finalize();
+  ds->shutdown();
+  engine.run();
+}
+
 TEST_F(ReplDsFixture, LosingEveryReplicaSurfacesTypedLossAndCountsIt) {
   // Factor 2 on two servers: when both die (satellite 1's crash list), the
   // read exhausts the whole chain — a typed error and an objects_lost tick,

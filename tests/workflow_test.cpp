@@ -205,5 +205,26 @@ TEST(Workflow, MatchedSyntheticLayoutIsFaster) {
   EXPECT_GT(slow.sim_staging, fast.sim_staging * 1.5);
 }
 
+// Ranks whose init fails part-way (the client pool allocated, a connect
+// refused) still leave a clean ledger: teardown finalizes their clients.
+TEST(Workflow, InitFailuresReleaseTheClientPools) {
+  for (MethodSel method :
+       {MethodSel::kDataspacesNative, MethodSel::kDimesNative}) {
+    Spec spec = small_spec(AppSel::kLaplace, method);
+    spec.nsim = 32;
+    spec.nana = 16;
+    spec.transport = Spec::Transport::kSockets;
+    spec.machine.socket_descriptors_per_node = 16;
+    auto result = run(spec);
+    EXPECT_FALSE(result.ok);
+    ASSERT_FALSE(result.failures.empty());
+    EXPECT_NE(result.failure_summary().find(" init: OUT_OF_SOCKETS"),
+              std::string::npos)
+        << result.failure_summary();
+    EXPECT_TRUE(result.leaks.empty())
+        << ::testing::PrintToString(result.leaks);
+  }
+}
+
 }  // namespace
 }  // namespace imc::workflow
