@@ -3,6 +3,8 @@
 // itself and as a regression guard for the paper-scale sweeps.
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "apps/apps.h"
 #include "bench_util.h"
 #include "common/hilbert.h"
@@ -13,6 +15,7 @@
 #include "net/fabric.h"
 #include "net/transport.h"
 #include "common/log.h"
+#include "common/world.h"
 #include "prof/prof.h"
 #include "sim/engine.h"
 #include "sim/sync.h"
@@ -220,7 +223,8 @@ BENCHMARK(BM_TraceSpanDisabled);
 void BM_TraceSpanEnabled(benchmark::State& state) {
   sim::Engine engine;
   trace::Recorder recorder(engine, "bench", 4096);
-  trace::ScopedRecorder bind(recorder);
+  world::Scope bind;
+  bind->recorder = &recorder;
   std::size_t recorded = 0;
   for (auto _ : state) {
     TRACE_SPAN("bench.noop", 0, 0);
@@ -253,7 +257,8 @@ BENCHMARK(BM_ProfTimerDisabled);
 #if IMC_PROF_ENABLED
 void BM_ProfTimerEnabled(benchmark::State& state) {
   prof::Meter meter("bench");
-  prof::ScopedProf bind(meter);
+  world::Scope bind;
+  bind->meter = &meter;
   for (auto _ : state) {
     PROF_TIMER("bench.noop");
     benchmark::ClobberMemory();
@@ -373,20 +378,24 @@ void BM_WorldSetupTeardownReused(benchmark::State& state) {
 BENCHMARK(BM_WorldSetupTeardownReused);
 
 // Log capture + flush cost: format N lines into a buffered sink, then
-// move-flush the rope to the outer buffer. The chunked LogText append and
+// move-flush the rope to the outer capture. The chunked LogText append and
 // splice are what keep this linear in bytes with no intermediate copies.
 void BM_LogCaptureFlush(benchmark::State& state) {
   const int lines = static_cast<int>(state.range(0));
   std::size_t bytes = 0;
   for (auto _ : state) {
-    ScopedLogBuffer outer;
+    LogText outer;
+    world::Scope bind_outer;
+    bind_outer->log = &outer;
     {
-      ScopedLogBuffer inner;
+      LogText inner;
+      world::Scope bind_inner;
+      bind_inner->log = &inner;
       for (int i = 0; i < lines; ++i) {
         log_message(LogLevel::kWarn, "staged object advanced a step");
       }
-    }  // ~inner splices its rope into outer: chunk moves, no byte copies.
-    bytes = outer.take().size();
+    }  // ~bind_inner splices inner into outer: chunk moves, no byte copies.
+    bytes = std::exchange(outer, {}).size();
     benchmark::DoNotOptimize(bytes);
   }
   state.SetItemsProcessed(state.iterations() * lines);

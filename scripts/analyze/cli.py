@@ -27,15 +27,16 @@ import sys
 
 from analyze import __version__, baseline as baseline_mod, clang_backend, \
     sarif as sarif_mod
-from analyze.rules import RULES, Context
+from analyze.rules import LINE_RULES, RULES, Context
 from analyze.tokens import tokenize
 
 ALLOW = re.compile(r"imc-analyze:\s*allow\(([\w,\s-]+)\)")
 SOURCE_EXTS = (".h", ".hpp", ".cpp", ".cc", ".cxx")
 DEFAULT_TARGETS = ("src", "bench", "tests", "examples")
-# The fixture corpus is deliberately-bad code; directory walks skip it (the
-# fixture test driver passes those files explicitly, which bypasses this).
-EXCLUDED_SUBTREES = (os.path.join("tests", "analyze"),)
+# The fixture corpus is deliberately-bad code; directory walks run only the
+# line rules on it (the fixture test driver passes those files explicitly,
+# which runs every rule).
+FIXTURE_SUBTREES = (os.path.join("tests", "analyze"),)
 
 
 def repo_root_for(path):
@@ -53,22 +54,22 @@ def repo_root_for(path):
 
 
 def discover(targets):
-    files, missing = [], []
+    """Sources to analyze, as {path: walked into the fixture corpus}."""
+    files, missing = {}, []
     for target in targets:
         if os.path.isfile(target):
-            files.append(target)
+            files[target] = False
             continue
         if not os.path.isdir(target):
             missing.append(target)
             continue
-        for root, dirs, names in os.walk(target):
+        for root, _, names in os.walk(target):
             rel = os.path.normpath(root)
-            if any(sub in rel for sub in EXCLUDED_SUBTREES):
-                dirs[:] = []
-                continue
-            files.extend(os.path.join(root, n) for n in sorted(names)
-                         if n.endswith(SOURCE_EXTS))
-    return sorted(set(files)), missing
+            fixture = any(sub in rel for sub in FIXTURE_SUBTREES)
+            for n in names:
+                if n.endswith(SOURCE_EXTS):
+                    files.setdefault(os.path.join(root, n), fixture)
+    return dict(sorted(files.items())), missing
 
 
 def allowed_rules(raw_lines, lineno):
@@ -84,7 +85,8 @@ def allowed_rules(raw_lines, lineno):
 
 def analyze_file(path, enabled):
     try:
-        with open(path, encoding="utf-8") as f:
+        # newline="" keeps carriage returns for the crlf rule.
+        with open(path, encoding="utf-8", newline="") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as e:
         print(f"imc-analyze: cannot read {path}: {e}", file=sys.stderr)
@@ -151,11 +153,13 @@ def main(argv=None):
         print("imc-analyze: no C++ sources found", file=sys.stderr)
         return 2
 
-    repo_root = repo_root_for(files[0])
+    repo_root = repo_root_for(next(iter(files)))
     all_findings = []
     lines_by_path = {}
-    for path in files:
-        findings, raw_lines = analyze_file(path, enabled)
+    line_rules = [r for r in enabled if r in LINE_RULES]
+    for path, fixture in files.items():
+        findings, raw_lines = analyze_file(
+            path, line_rules if fixture else enabled)
         all_findings.extend(findings)
         lines_by_path[path] = raw_lines
 

@@ -481,28 +481,24 @@ def rule_unordered_iteration(ctx):
 
 
 # ---------------------------------------------------------------------------
-# scoped-binding — thread-local bindings must be named stack guards
+# scoped-binding — the world binding must be a named stack guard
 # ---------------------------------------------------------------------------
 
-# Scoped type -> accessor functions (with the qualifier that identifies
-# them) whose result the guard feeds. An accessor call *before* the guard
-# exists in the same scope reads the previous world's binding.
-_SCOPED_FAMILIES = {
-    # `global` alone is ambiguous between audit:: and trace::, so the
-    # unqualified form is only matched for accessors with unique names.
-    "ScopedAuditor": (("audit", "global"),),
-    "ScopedRecorder": (("trace", "global"), ("", "bound_recorder"),
-                       ("internal", "bound_recorder")),
-    "ScopedFaultPlan": (("fault", "active"), ("", "active")),
-    # `active` alone already belongs to ScopedFaultPlan, so the replication
-    # coordinator accessor is matched qualified-only.
-    "ScopedReplPolicy": (("repl", "active"),),
-    "ScopedArena": (("arena", "current"),),
-    "ScopedProf": (("prof", "meter"), ("", "bound_meter"),
-                   ("internal", "bound_meter")),
-    "ScopedLogBuffer": (),
-    "ScopedTraceBuffer": (),
-}
+# world::Scope is the one thread binding (DESIGN.md §16). Its accessors,
+# with the qualifier that identifies them: an accessor call *before* the
+# Scope exists in the same scope reads the enclosing world's binding.
+_SCOPE = "Scope"
+_SCOPE_ACCESSORS = (
+    ("world", "current"),
+    ("audit", "global"),
+    ("trace", "global"),
+    # `active` alone is matched for the fault injector; the replication
+    # coordinator's is matched qualified-only.
+    ("fault", "active"), ("", "active"),
+    ("repl", "active"),
+    ("arena", "current"),
+    ("prof", "meter"),
+)
 
 
 def _inside_own_class(ts, i, name):
@@ -545,18 +541,19 @@ def rule_scoped_binding(ctx):
     toks = ts.tokens
     findings = []
     for i, tok in enumerate(toks):
-        if tok.kind != ID or tok.text not in _SCOPED_FAMILIES or tok.preproc:
+        if tok.kind != ID or tok.text != _SCOPE or tok.preproc or \
+                _qualifier(ts, i) not in ("", "world"):
             continue
         pv = ts.prev_code(i)
         pt = toks[pv].text if pv is not None else ""
         nx = ts.next_code(i)
         nt = toks[nx].text if nx is not None else ""
-        # Skip declarations/definitions of the guards themselves.
+        # Skip the declarations and definitions of Scope itself.
         if pt in ("explicit", "~", "class", "struct", "friend") or \
                 nt in ("::", "&", "*") or \
                 _inside_own_class(ts, i, tok.text):
             continue
-        # Heap allocation: `new [ns::]ScopedX...`.
+        # Heap allocation: `new [world::]Scope...`.
         j = pv
         while j is not None and toks[j].text == "::":
             j = ts.prev_code(j)          # qualifier name
@@ -564,27 +561,27 @@ def rule_scoped_binding(ctx):
         if j is not None and toks[j].text == "new":
             findings.append(Finding(
                 "scoped-binding", ctx.path, tok.line,
-                f"heap-allocated {tok.text} decouples the binding from the "
+                "heap-allocated world::Scope decouples the binding from the "
                 "scope it is supposed to cover; a missed delete leaves the "
                 "world bound forever",
-                f"declare a named stack guard: `{tok.text} bind(...);`"))
+                "declare a named stack guard: `world::Scope scope;`"))
             continue
         if nx is None:
             continue
         if toks[nx].kind == ID:
             # Named declaration — the good form. Check ordering: no
-            # accessor of this family may run earlier in this scope.
+            # accessor may run earlier in this scope.
             open_i, _ = ts.enclosing_scope(i)
             lo = open_i if open_i is not None else 0
             for k in range(lo, i):
                 t = toks[k]
                 if t.kind != ID or t.preproc:
                     continue
-                for qual, fn in _SCOPED_FAMILIES[tok.text]:
+                for qual, fn in _SCOPE_ACCESSORS:
                     if t.text == fn and _is_accessor_call(ts, k, qual):
                         findings.append(Finding(
                             "scoped-binding", ctx.path, tok.line,
-                            f"{tok.text} is constructed after "
+                            "world::Scope is constructed after "
                             f"{t.text}() was already called in this scope "
                             f"(line {t.line}); the earlier call read the "
                             "previous world's binding",
@@ -606,15 +603,15 @@ def rule_scoped_binding(ctx):
             stmt_prev = j if j is not None else pv
             sp = toks[stmt_prev].text if stmt_prev is not None else ";"
             if at == ";" and sp in (";", "{", "}", ")", ":"):
-                # `public: ScopedX();` inside the class is handled above;
+                # `public: Scope();` inside the class is handled above;
                 # what is left is a real temporary statement.
                 findings.append(Finding(
                     "scoped-binding", ctx.path, tok.line,
-                    f"temporary {tok.text} binds and immediately unbinds "
+                    "temporary world::Scope binds and immediately unbinds "
                     "at the end of the full expression — the code that "
                     "follows runs against the previous binding",
-                    f"name it: `{tok.text} bind(...);` so the guard lives "
-                    "to the end of the scope"))
+                    "name it: `world::Scope scope;` so the guard lives to "
+                    "the end of the scope"))
     return findings
 
 
@@ -777,6 +774,41 @@ def rule_detached_coroutine(ctx):
 
 
 # ---------------------------------------------------------------------------
+# Line rules — whitespace style, checked on the raw text
+# ---------------------------------------------------------------------------
+
+def rule_tab_indent(ctx):
+    return [Finding("tab-indent", ctx.path, n, "tab character",
+                    "indent with spaces")
+            for n, line in enumerate(ctx.raw_lines, start=1)
+            if "\t" in line.rstrip("\r")]
+
+
+def rule_trailing_whitespace(ctx):
+    return [Finding("trailing-whitespace", ctx.path, n,
+                    "whitespace before end of line",
+                    "delete the trailing spaces or tabs")
+            for n, line in enumerate(ctx.raw_lines, start=1)
+            if line.rstrip("\r") != line.rstrip("\r").rstrip()]
+
+
+def rule_crlf(ctx):
+    for n, line in enumerate(ctx.raw_lines, start=1):
+        if "\r" in line:
+            return [Finding("crlf", ctx.path, n, "carriage return found",
+                            "save the file with LF line endings")]
+    return []
+
+
+def rule_missing_final_newline(ctx):
+    if ctx.raw_lines[-1] == "":
+        return []
+    return [Finding("missing-final-newline", ctx.path, len(ctx.raw_lines),
+                    "file must end with a newline",
+                    "add a newline after the last line")]
+
+
+# ---------------------------------------------------------------------------
 # Registry and path scoping
 # ---------------------------------------------------------------------------
 
@@ -821,7 +853,7 @@ RULES = {
         "unseeded/global randomness"),
     "scoped-binding": (
         rule_scoped_binding, _everywhere,
-        "Scoped* guards must be named stack objects bound before use"),
+        "world::Scope must be a named stack object bound before use"),
     "adhoc-retry": (
         rule_adhoc_retry, _not_fault_layer,
         "hand-rolled retry loops outside fault::retry"),
@@ -840,4 +872,22 @@ RULES = {
     "discarded-result": (
         rule_discarded_result, _not_tests,
         "(void)-discarded Status/Result"),
+    "tab-indent": (
+        rule_tab_indent, _everywhere,
+        "tab characters in a source line"),
+    "trailing-whitespace": (
+        rule_trailing_whitespace, _everywhere,
+        "spaces or tabs before the end of a line"),
+    "crlf": (
+        rule_crlf, _everywhere,
+        "Windows line endings"),
+    "missing-final-newline": (
+        rule_missing_final_newline, _everywhere,
+        "file does not end with a newline"),
 }
+
+# Whitespace rules read only the raw lines. They also run on the fixture
+# corpus, which every other rule skips: deliberately bad semantics still
+# follow the style rules.
+LINE_RULES = frozenset({"tab-indent", "trailing-whitespace", "crlf",
+                        "missing-final-newline"})

@@ -23,9 +23,7 @@
 //    lists and chunks as they are — reuse degrades gracefully instead of
 //    invalidating pointers.
 //
-// Binding mirrors audit::ScopedAuditor: a ScopedArena makes the arena
-// current() for this thread, bindings nest LIFO, and an unbound thread
-// simply uses the global heap — tests and tools never need an arena.
+// current() is the bound lane's arena (world::Context, DESIGN.md §16).
 //
 // Coroutine frames route through frame_allocate()/frame_free(), which
 // prepend a 16-byte header recording the owning arena and block size, so a
@@ -38,6 +36,8 @@
 #include <cstdint>
 #include <memory>
 #include <vector>
+
+#include "common/world.h"
 
 namespace imc::arena {
 
@@ -100,21 +100,8 @@ class Arena {
   std::size_t reserved_bytes_ = 0;
 };
 
-// The arena bound to this thread, or nullptr (use the global heap).
-Arena* current();
-
-// Binds `arena` as this thread's allocation target for the scope's
-// lifetime. Bindings nest; the previous one is restored on destruction.
-class ScopedArena {
- public:
-  explicit ScopedArena(Arena& arena);
-  ~ScopedArena();
-  ScopedArena(const ScopedArena&) = delete;
-  ScopedArena& operator=(const ScopedArena&) = delete;
-
- private:
-  Arena* previous_;
-};
+// The bound arena, or nullptr (use the global heap).
+inline Arena* current() { return world::current().arena; }
 
 // Coroutine-frame entry points (used by the promise operator new/delete of
 // sim::Task and the engine's detached-root wrapper). The header they

@@ -85,25 +85,6 @@ void Auditor::reset() {
   violations_.clear();
 }
 
-namespace {
-
-// Innermost ScopedAuditor binding on this thread; null outside any scope.
-thread_local Auditor* t_bound = nullptr;
-
-}  // namespace
-
-Auditor& global() {
-  if (t_bound != nullptr) return *t_bound;
-  static Auditor process_wide;
-  return process_wide;
-}
-
-ScopedAuditor::ScopedAuditor(Auditor& auditor) : previous_(t_bound) {
-  t_bound = &auditor;
-}
-
-ScopedAuditor::~ScopedAuditor() { t_bound = previous_; }
-
 bool runtime_enabled() {
   static const bool enabled = env::flag_or_die("IMC_CHECK", true);
   return enabled;

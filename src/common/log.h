@@ -1,11 +1,8 @@
 // Minimal leveled logger. Benches run with logging off by default; tests can
 // raise the level to debug a failing scenario.
 //
-// Sinks: by default every message goes straight to stderr. A thread that
-// binds a ScopedLogBuffer captures its messages instead — the sweep layer
-// (src/sweep/) binds one around every job so warnings emitted mid-scenario
-// can be flushed in submission order next to that scenario's results rather
-// than interleaving across worker threads.
+// Messages go to the bound log capture (world::Context, DESIGN.md §16),
+// else straight to stderr.
 #pragma once
 
 #include <cstddef>
@@ -76,30 +73,6 @@ class LogText {
 
   std::vector<std::string> chunks_;
   std::size_t bytes_ = 0;
-};
-
-// While alive, log output on this thread is appended to this buffer instead
-// of being written to stderr. Bindings nest: the innermost buffer captures.
-// Call take() (then write_log_output) to emit what was captured in a
-// controlled order; anything still buffered at destruction is flushed to
-// the previous binding (or stderr) rather than dropped, so warnings survive
-// exception unwinds.
-class ScopedLogBuffer {
- public:
-  ScopedLogBuffer();
-  ~ScopedLogBuffer();
-  ScopedLogBuffer(const ScopedLogBuffer&) = delete;
-  ScopedLogBuffer& operator=(const ScopedLogBuffer&) = delete;
-
-  // Drains the captured bytes (formatted lines, newline-terminated) as a
-  // rope — chunk moves, no concatenation copy.
-  LogText take() { return std::move(buffer_); }
-  bool empty() const { return buffer_.empty(); }
-
- private:
-  friend void log_message(LogLevel, std::string_view);
-  LogText buffer_;
-  ScopedLogBuffer* previous_;
 };
 
 // Writes previously captured log bytes to the real sink (stderr). Exposed

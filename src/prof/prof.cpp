@@ -19,9 +19,6 @@
 namespace imc::prof {
 namespace {
 
-// Innermost per-thread binding (stack via ScopedProf::previous_).
-thread_local Meter* t_meter = nullptr;
-
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -157,22 +154,6 @@ void Meter::bump(const char* name, char kind, double v) {
   ++stat.count;
   stat.sum += v;
   stat.last = v;
-}
-
-// --- Thread-local binding ------------------------------------------------
-
-namespace internal {
-Meter* bound_meter() {
-  return t_meter;
-}
-}  // namespace internal
-
-ScopedProf::ScopedProf(Meter& m) : previous_(t_meter) {
-  t_meter = &m;
-}
-
-ScopedProf::~ScopedProf() {
-  t_meter = previous_;
 }
 
 // --- Collector -----------------------------------------------------------

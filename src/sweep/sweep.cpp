@@ -72,6 +72,13 @@ void WorldContext::run(const std::function<void()>& job) {
   // its storage valid and merely forgoes the rewind).
   auditor_.reset();
   arena_.reset();
+  LogText logs;
+  std::vector<trace::RunChunk> chunks;
+  world::Scope scope;
+  scope->auditor = &auditor_;
+  scope->arena = &arena_;
+  scope->log = &logs;
+  scope->chunks = &chunks;
   // Per-job resource accounting needs before-values of the cumulative
   // arena counters; prof::meter() is a constexpr nullptr when the IMC_PROF
   // compile option is off, so all of this folds away.
@@ -79,27 +86,23 @@ void WorldContext::run(const std::function<void()>& job) {
   const std::uint64_t allocations0 = meter ? arena_.allocations() : 0;
   const std::uint64_t pool_hits0 = meter ? arena_.pool_hits() : 0;
   const std::uint64_t heap_fallbacks0 = meter ? arena_.heap_fallbacks() : 0;
-  audit::ScopedAuditor audit_scope(auditor_);
-  arena::ScopedArena arena_scope(arena_);
-  ScopedLogBuffer log_buffer;
-  trace::ScopedTraceBuffer trace_buffer;
-  try {
-    job();
-  } catch (...) {
-    logs_ = log_buffer.take();
-    chunks_ = trace_buffer.take();
+  // Keeps the captures (taken, so the Scope forwards nothing) on every
+  // exit, the exceptional one included.
+  auto keep = [&] {
+    logs_ = std::move(logs);
+    chunks_ = std::move(chunks);
     if (meter != nullptr) {
       note_world_stats(*meter, arena_, allocations0, pool_hits0,
                        heap_fallbacks0, logs_, chunks_);
     }
+  };
+  try {
+    job();
+  } catch (...) {
+    keep();
     throw;
   }
-  logs_ = log_buffer.take();
-  chunks_ = trace_buffer.take();
-  if (meter != nullptr) {
-    note_world_stats(*meter, arena_, allocations0, pool_hits0,
-                     heap_fallbacks0, logs_, chunks_);
-  }
+  keep();
 }
 
 int default_threads() {
@@ -130,9 +133,9 @@ void Pool::run_indexed(std::size_t n,
     // emit in order, exceptions propagate immediately (after flushing).
     WorldContext world;
     prof::Meter meter("sequential");
-    std::optional<prof::ScopedProf> prof_scope;
+    world::Scope lane;
     const double lane_start = prof_on ? prof::wall_seconds() : 0.0;
-    if (prof_on) prof_scope.emplace(meter);
+    if (prof_on) lane->meter = &meter;
     auto fold_lane = [&meter, prof_on, lane_start] {
       if (!prof_on) return;
       meter.timing("worker.span", prof::wall_seconds() - lane_start);
@@ -183,10 +186,10 @@ void Pool::run_indexed(std::size_t n,
   // separate from worker idle time. Meters live out here so they survive
   // the workers and fold after the join.
   prof::Meter caller_meter("caller");
-  std::optional<prof::ScopedProf> caller_scope;
+  world::Scope caller_lane;
   std::vector<std::unique_ptr<prof::Meter>> worker_meters;
   if (prof_on) {
-    caller_scope.emplace(caller_meter);
+    caller_lane->meter = &caller_meter;
     caller_meter.sample("pool.width", static_cast<double>(width));
     worker_meters.reserve(width);
     for (std::size_t w = 0; w < width; ++w) {
@@ -203,11 +206,11 @@ void Pool::run_indexed(std::size_t n,
     WorldContext world;
     std::vector<trace::SpanEvent>& spans = worker_spans[w];
     double idle_since = spans_on ? seconds_since(origin) : 0.0;
-    std::optional<prof::ScopedProf> prof_scope;
+    world::Scope lane;
     double lane_start = 0.0;
     double idle_mark = 0.0;
     if (prof_on) {
-      prof_scope.emplace(*worker_meters[w]);
+      lane->meter = worker_meters[w].get();
       lane_start = prof::wall_seconds();
       idle_mark = lane_start;
     }

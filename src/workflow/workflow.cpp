@@ -8,6 +8,7 @@
 #include "common/arena.h"
 #include "common/audit.h"
 #include "common/rng.h"
+#include "common/world.h"
 #include "fault/fault.h"
 #include "prof/prof.h"
 #include "trace/trace.h"
@@ -793,51 +794,38 @@ sim::Task<> decaf_consumer(Ctx& ctx, int a) {
 // ---------------------------------------------------------------------------
 
 RunResult run(const Spec& spec) {
-  // Each run audits into its own ledger, bound to this thread for the
-  // duration of the call: concurrent sweep workers (src/sweep/) each see
-  // only their own world's acquire/release pairs. Whatever is outstanding
-  // after full teardown below is a leak (RunResult::leaks).
+  // One Scope binds this world's services; lane fields (arena, prof meter,
+  // captures) are inherited. The injector and coordinator are null unless
+  // the spec asks for them, so the MPI-IO fallback replay below runs fault-
+  // free and unreplicated. Replication also binds under a fault plan, so
+  // unreplicated chaos runs report zeroed durability stats.
   audit::Auditor auditor;
-  audit::ScopedAuditor audit_scope(auditor);
-  // Coroutine frames for this world come from an arena: the enclosing
-  // sweep worker's reusable one (sweep::WorldContext) when bound, else a
-  // run-local arena. Declared before Ctx so it outlives the engine and
-  // every frame freed during teardown; the recursive MPI-IO fallback
-  // replay reuses the outer binding.
   std::optional<arena::Arena> local_arena;
-  std::optional<arena::ScopedArena> arena_scope;
-  if (arena::current() == nullptr) {
-    local_arena.emplace();
-    arena_scope.emplace(*local_arena);
-  }
-  RunResult result;
-  Ctx ctx(spec);
-  // Fault injection binds per world like the auditor and tracer: only when
-  // the spec carries a plan, so fault-free runs never see an Injector.
   std::unique_ptr<fault::Injector> injector;
-  std::optional<fault::ScopedFaultPlan> fault_scope;
   if (spec.fault.any()) {
     injector = std::make_unique<fault::Injector>(spec.fault);
-    fault_scope.emplace(*injector);
   }
-  // Replication binds the same way: when the policy asks for copies (or a
-  // fault plan is active, so unreplicated chaos runs report zeroed
-  // durability stats through the same ledger).
   std::unique_ptr<repl::Coordinator> repl_coordinator;
-  std::optional<repl::ScopedReplPolicy> repl_scope;
   if (spec.repl.replicated() || spec.fault.any()) {
     repl_coordinator = std::make_unique<repl::Coordinator>(spec.repl);
-    repl_scope.emplace(*repl_coordinator);
   }
-  // Tracing rides the same per-world binding scheme: when a sink is
-  // installed (IMC_TRACE=<path> or a test sink) each run records into its
-  // own Recorder, stamped exclusively with ctx.engine's simulated clock.
-  std::unique_ptr<trace::Recorder> recorder;
-  std::optional<trace::ScopedRecorder> trace_scope;
+  std::unique_ptr<trace::Recorder> recorder;  // outlives the binding
+  world::Scope scope;
+  scope->auditor = &auditor;
+  scope->recorder = nullptr;
+  scope->injector = injector.get();
+  scope->coordinator = repl_coordinator.get();
+  // Coroutine frames come from the lane's arena, else a run-local one bound
+  // before Ctx so it outlives every frame freed during teardown.
+  if (scope->arena == nullptr) scope->arena = &local_arena.emplace();
+  RunResult result;
+  Ctx ctx(spec);
+  // With a sink installed each run records into its own Recorder, stamped
+  // exclusively with ctx.engine's simulated clock.
   if (trace::enabled()) {
     recorder = std::make_unique<trace::Recorder>(ctx.engine, run_label(spec),
                                                  trace::event_limit());
-    trace_scope.emplace(*recorder);
+    scope->recorder = recorder.get();
   }
   // Phase skeleton: deploy -> run -> teardown, pinned so truncation never
   // drops them. Inert (zero-cost beyond a null check) when tracing is off.
@@ -846,13 +834,10 @@ RunResult run(const Spec& spec) {
   phase->pin();
   // Folds this run's events into a chunk for the sink; safe to call on any
   // exit path once (no-op when tracing is off).
-  auto finish_trace = [&result, &recorder, &trace_scope, &phase] {
-    if (!recorder) {
-      phase.reset();
-      return;
-    }
+  auto finish_trace = [&result, &recorder, &scope, &phase] {
     phase.reset();
-    trace_scope.reset();
+    if (!recorder) return;
+    scope->recorder = nullptr;
     trace::RunChunk chunk = recorder->take_chunk();
     result.trace_digest = chunk.digest;
     trace::emit_chunk(std::move(chunk));
@@ -1257,8 +1242,6 @@ RunResult run(const Spec& spec) {
     result.fault.fallback_activated = true;
     result.fault.time_to_recover = ctx.engine.now();
     trace::count("fault.fallback");
-    fault_scope.reset();  // the replay runs fault-free
-    repl_scope.reset();   // ... and unreplicated
     Spec fb = spec;
     fb.method = MethodSel::kMpiIo;
     fb.fault = fault::Plan{};

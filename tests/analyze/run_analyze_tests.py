@@ -12,7 +12,7 @@ SARIF export smoke check.
 Fixtures are staged into a scratch `src/` tree before analysis because
 several rules are path-scoped (raw-exit-in-library only applies under
 src/, discarded-result skips tests/) and the corpus itself lives under
-tests/analyze/, which repo-wide runs deliberately exclude.
+tests/analyze/, which repo-wide runs check with the line rules only.
 """
 
 import json
@@ -28,27 +28,34 @@ REPO = os.path.dirname(os.path.dirname(TESTS_DIR))
 FIXTURES = os.path.join(TESTS_DIR, "fixtures")
 ANALYZE = [sys.executable, os.path.join(REPO, "scripts", "imc-analyze")]
 
-# rule id -> list of (fixture stem, minimum findings expected in the bad
-# snippet); rules with several guard families carry one pair per family.
+# rule id -> (fixture stem, minimum findings expected in the bad snippet).
 CORPUS = {
-    "unordered-iteration": [("unordered_iteration", 2)],
-    "wall-clock": [("wall_clock", 4)],
-    "global-rng": [("global_rng", 4)],
-    "scoped-binding": [("scoped_binding", 3), ("arena_binding", 3),
-                       ("prof_binding", 3), ("repl_binding", 3)],
-    "adhoc-retry": [("adhoc_retry", 1)],
-    "env-without-or-die": [("env_without_or_die", 2)],
-    "raw-exit-in-library": [("raw_exit_in_library", 2)],
-    "co-await-under-lock": [("co_await_under_lock", 2)],
-    "detached-coroutine-lifetime": [("detached_coroutine_lifetime", 2)],
-    "discarded-result": [("discarded_result", 2)],
+    "unordered-iteration": ("unordered_iteration", 2),
+    "wall-clock": ("wall_clock", 4),
+    "global-rng": ("global_rng", 4),
+    # temporary, heap and use-before-bind for each of seven accessors
+    "scoped-binding": ("scoped_binding", 21),
+    "adhoc-retry": ("adhoc_retry", 1),
+    "env-without-or-die": ("env_without_or_die", 2),
+    "raw-exit-in-library": ("raw_exit_in_library", 2),
+    "co-await-under-lock": ("co_await_under_lock", 2),
+    "detached-coroutine-lifetime": ("detached_coroutine_lifetime", 2),
+    "discarded-result": ("discarded_result", 2),
+    "tab-indent": ("tab_indent", 2),
+    "trailing-whitespace": ("trailing_whitespace", 2),
+    "crlf": ("crlf", 1),
+    "missing-final-newline": ("missing_final_newline", 1),
 }
 
-
-def corpus_pairs():
-    for rule, entries in CORPUS.items():
-        for stem, expected in entries:
-            yield rule, stem, expected
+# The whitespace line rules' snippets are written at test time: a committed
+# tab or CRLF fixture would trip the full-tree run.
+LINE_BAD = {
+    "tab-indent": "int a;\n\tint b;\nint c;\t// note\n",
+    "trailing-whitespace": "int a; \nint b;\t\nint c;\n",
+    "crlf": "int a;\r\nint b;\r\n",
+    "missing-final-newline": "int a;\nint b;",
+}
+LINE_GOOD = "int a;\n  int b;  // spaced\n"
 
 
 def run(args, cwd=None):
@@ -87,10 +94,17 @@ class AnalyzeFixtureTests(unittest.TestCase):
                 f.write(content)
         return dst
 
+    def stage_case(self, rule, kind):
+        stem = CORPUS[rule][0]
+        if rule in LINE_BAD:
+            text = LINE_BAD[rule] if kind == "bad" else LINE_GOOD
+            return self.stage(f"{stem}_{kind}.cpp", text)
+        return self.stage(f"{stem}_{kind}.cpp")
+
     def test_each_rule_flags_its_bad_fixture(self):
-        for rule, stem, expected in corpus_pairs():
+        for rule, (stem, expected) in CORPUS.items():
             with self.subTest(rule=rule, stem=stem):
-                path = self.stage(f"{stem}_bad.cpp")
+                path = self.stage_case(rule, "bad")
                 proc = run([path])
                 self.assertEqual(proc.returncode, 1,
                                  f"{rule}: expected findings\n{proc.stdout}"
@@ -102,9 +116,9 @@ class AnalyzeFixtureTests(unittest.TestCase):
                     f"{counts}\n{proc.stdout}")
 
     def test_each_rule_passes_its_good_fixture(self):
-        for rule, stem, _ in corpus_pairs():
+        for rule, (stem, _) in CORPUS.items():
             with self.subTest(rule=rule, stem=stem):
-                path = self.stage(f"{stem}_good.cpp")
+                path = self.stage_case(rule, "good")
                 proc = run([path])
                 self.assertEqual(
                     proc.returncode, 0,
@@ -113,9 +127,9 @@ class AnalyzeFixtureTests(unittest.TestCase):
     def test_disabling_a_rule_silences_its_findings(self):
         # The inverse of the must-flag test: if a rule were disabled (or
         # silently broken), the must-flag assertion above is what fails.
-        for rule, stem, _ in corpus_pairs():
+        for rule, (stem, _) in CORPUS.items():
             with self.subTest(rule=rule, stem=stem):
-                path = self.stage(f"{stem}_bad.cpp")
+                path = self.stage_case(rule, "bad")
                 proc = run([path, "--disable", rule])
                 counts = rule_counts(proc.stdout)
                 self.assertEqual(
@@ -241,6 +255,20 @@ class AnalyzeFixtureTests(unittest.TestCase):
         self.assertEqual(
             proc.returncode, 0,
             f"tests/analyze fixtures leaked into a tree walk\n{proc.stdout}")
+
+    def test_tree_walks_check_the_fixture_corpus_with_line_rules_only(self):
+        # Deliberately bad semantics under tests/analyze/ pass a tree walk;
+        # a tab there still flags.
+        corpus = os.path.join(self.scratch, "tests", "analyze", "fixtures")
+        os.makedirs(corpus)
+        shutil.copy(os.path.join(FIXTURES, "global_rng_bad.cpp"), corpus)
+        with open(os.path.join(corpus, "tabbed.cpp"), "w",
+                  encoding="utf-8") as f:
+            f.write("int a;\n\tint b;\n")
+        proc = run([os.path.join(self.scratch, "tests")])
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertEqual(rule_counts(proc.stdout), {"tab-indent": 1},
+                         proc.stdout)
 
 
 if __name__ == "__main__":

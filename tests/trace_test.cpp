@@ -7,8 +7,10 @@
 #include <functional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/world.h"
 #include "sim/engine.h"
 #include "sim/task.h"
 #include "sweep/sweep.h"
@@ -48,24 +50,7 @@ TEST(TraceDigest, Fnv1aChainsAndDiscriminates) {
 #if IMC_TRACE_ENABLED
 
 // ---------------------------------------------------------------------------
-// ScopedRecorder: LIFO nesting and unwind, mirroring audit::ScopedAuditor.
-
-TEST(TraceBinding, ScopedRecorderNestsAndUnwinds) {
-  sim::Engine engine;
-  EXPECT_EQ(trace::global(), nullptr);
-  trace::Recorder outer(engine, "outer", 16);
-  {
-    trace::ScopedRecorder bind_outer(outer);
-    EXPECT_EQ(trace::global(), &outer);
-    {
-      trace::Recorder inner(engine, "inner", 16);
-      trace::ScopedRecorder bind_inner(inner);
-      EXPECT_EQ(trace::global(), &inner);
-    }
-    EXPECT_EQ(trace::global(), &outer);
-  }
-  EXPECT_EQ(trace::global(), nullptr);
-}
+// Binding (the nesting contract itself is tested in world_test.cpp).
 
 TEST(TraceBinding, UnboundHooksAreInert) {
   ASSERT_EQ(trace::global(), nullptr);
@@ -84,7 +69,8 @@ TEST(TraceBinding, UnboundHooksAreInert) {
 TEST(TraceRecorder, SpanCoversSimulatedSleep) {
   sim::Engine engine;
   trace::Recorder recorder(engine, "spans", 64);
-  trace::ScopedRecorder bind(recorder);
+  world::Scope bind;
+  bind->recorder = &recorder;
   engine.spawn([](sim::Engine& e) -> sim::Task<> {
     trace::Span span = trace::span("test.work", trace::Track{5, 7});
     span.arg("bytes", 4096.0);
@@ -136,8 +122,8 @@ TEST(TraceRecorder, EventCapDropsDeterministicallyButKeepsMetrics) {
 }
 
 // ---------------------------------------------------------------------------
-// Chunk routing: innermost buffer wins; un-taken chunks are forwarded, not
-// dropped (the ScopedLogBuffer contract).
+// Chunk routing: the innermost capture wins; un-taken chunks are forwarded,
+// not dropped, when the Scope that installed the capture ends.
 
 trace::RunChunk labeled_chunk(const std::string& label) {
   sim::Engine engine;
@@ -147,19 +133,22 @@ trace::RunChunk labeled_chunk(const std::string& label) {
 }
 
 TEST(TraceRouting, InnermostBufferCapturesAndDtorForwards) {
-  trace::ScopedTraceBuffer outer;
+  std::vector<trace::RunChunk> outer;
+  world::Scope bind_outer;
+  bind_outer->chunks = &outer;
   {
-    trace::ScopedTraceBuffer inner;
+    std::vector<trace::RunChunk> inner;
+    world::Scope bind_inner;
+    bind_inner->chunks = &inner;
     trace::emit_chunk(labeled_chunk("first"));
-    auto taken = inner.take();
+    auto taken = std::exchange(inner, {});
     ASSERT_EQ(taken.size(), 1u);
     EXPECT_EQ(taken[0].label, "first");
     trace::emit_chunk(labeled_chunk("second"));
-    // `second` is not taken: the destructor must forward it to `outer`.
+    // `second` is not taken: ending the Scope must forward it to `outer`.
   }
-  auto forwarded = outer.take();
-  ASSERT_EQ(forwarded.size(), 1u);
-  EXPECT_EQ(forwarded[0].label, "second");
+  ASSERT_EQ(outer.size(), 1u);
+  EXPECT_EQ(outer[0].label, "second");
 }
 
 TEST(TraceRouting, SinkReceivesChunksWhenNoBufferIsBound) {
@@ -206,7 +195,8 @@ std::pair<std::uint64_t, std::string> run_engine_scenario(
     sim::Schedule schedule) {
   sim::Engine engine(schedule);
   trace::Recorder recorder(engine, "schedule-invariance", 1024);
-  trace::ScopedRecorder bind(recorder);
+  world::Scope bind;
+  bind->recorder = &recorder;
   for (int p = 0; p < 4; ++p) {
     engine.spawn([](sim::Engine& e, int p) -> sim::Task<> {
       for (int i = 0; i < 5; ++i) {
