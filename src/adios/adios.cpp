@@ -147,167 +147,107 @@ constexpr double kStatsScanBandwidth = 10e9;  // bytes/s at Titan speed
 }  // namespace
 
 Io::Io(sim::Engine& engine, const AdiosConfig& config, const GroupDecl& group,
-       Backends backends, mem::ProcessMemory& memory, double cpu_speed)
+       std::string path, Backends backends, mem::ProcessMemory& memory,
+       double cpu_speed)
     : engine_(&engine),
       config_(&config),
       group_(&group),
+      base_path_(std::move(path)),
       backends_(backends),
       memory_(&memory),
       cpu_speed_(cpu_speed) {}
 
-sim::Task<Status> Io::open_write(const std::string& path) {
-  path_ = path;
+sim::Task<Status> Io::init() {
   switch (group_->method) {
-    case Method::kMpiIo: {
+    case Method::kMpiIo:
       assert(backends_.lustre != nullptr && backends_.node != nullptr);
-      // Table I: lfs setstripe -stripe-size 1m -stripe-count -1.
-      auto file = co_await backends_.lustre->open(path);
-      if (!file.has_value()) co_return file.status();
-      file_ = std::move(*file);
+      break;
+    case Method::kDataspaces:
+    case Method::kDimes:
+      assert(backends_.staging != nullptr);
+      if (Status st = co_await backends_.staging->init(); !st.is_ok()) {
+        co_return st;
+      }
+      break;
+    case Method::kFlexpath: {
+      assert((backends_.flexpath_writer != nullptr) !=
+             (backends_.flexpath_reader != nullptr));
+      Status st;
+      if (backends_.flexpath_writer != nullptr) {
+        st = co_await backends_.flexpath_writer->open(group_->name);
+      } else {
+        st = co_await backends_.flexpath_reader->open(group_->name);
+      }
+      if (!st.is_ok()) co_return st;
       break;
     }
-    case Method::kDataspaces:
-      assert(backends_.dataspaces != nullptr);
-      if (Status st = co_await backends_.dataspaces->init(); !st.is_ok()) {
-        co_return st;
-      }
-      break;
-    case Method::kDimes:
-      assert(backends_.dimes != nullptr);
-      if (Status st = co_await backends_.dimes->init(); !st.is_ok()) {
-        co_return st;
-      }
-      break;
-    case Method::kFlexpath:
-      assert(backends_.flexpath_writer != nullptr);
-      if (Status st = co_await backends_.flexpath_writer->open(group_->name);
-          !st.is_ok()) {
-        co_return st;
-      }
-      break;
   }
   open_ = true;
   co_return Status::ok();
 }
 
-sim::Task<Status> Io::write(const nda::VarDesc& var, const nda::Slab& slab) {
+sim::Task<Status> Io::open_step(int version) {
+  // Table I: lfs setstripe -stripe-size 1m -stripe-count -1.
+  const std::string path = base_path_ + "." + std::to_string(version);
+  auto file = co_await backends_.lustre->open(path);
+  if (!file.has_value()) co_return file.status();
+  file_ = std::move(*file);
+  co_return Status::ok();
+}
+
+sim::Task<Status> Io::put(const nda::VarDesc& var, const nda::Slab& slab) {
   if (!open_) {
     co_return make_error(ErrorCode::kFailedPrecondition, "file not open");
   }
+  if (group_->method == Method::kMpiIo) {
+    if (Status st = co_await open_step(var.version); !st.is_ok()) co_return st;
+  }
+  // adios_write: copy into the group buffer.
   const std::uint64_t bytes = slab.box().volume() * nda::kElementBytes;
-  if (buffered_bytes_ + bytes > config_->buffer_bytes) {
-    co_return make_error(
-        ErrorCode::kOutOfMemory,
-        "ADIOS buffer exceeded: " + std::to_string(buffered_bytes_ + bytes) +
-            " > " + std::to_string(config_->buffer_bytes) +
-            " B (raise <buffer size-MB>)");
+  if (bytes > config_->buffer_bytes) {
+    co_return make_error(ErrorCode::kOutOfMemory,
+                         "ADIOS buffer exceeded: " + std::to_string(bytes) +
+                             " > " + std::to_string(config_->buffer_bytes) +
+                             " B (raise <buffer size-MB>)");
   }
   if (Status st = memory_->allocate(mem::Tag::kLibrary, bytes); !st.is_ok()) {
     co_return st;
   }
-  buffered_bytes_ += bytes;
   if (config_->stats) {
     // min/max/avg statistics pass over the payload.
     co_await engine_->sleep(static_cast<double>(bytes) /
                             (kStatsScanBandwidth * cpu_speed_));
   }
-  pending_.push_back(Pending{var, slab.extract(slab.box())});
-  co_return Status::ok();
-}
-
-sim::Task<Status> Io::close() {
-  if (!open_) {
-    co_return make_error(ErrorCode::kFailedPrecondition, "file not open");
+  // adios_close: flush the buffer through the method, then release it.
+  Status st = Status::ok();
+  switch (group_->method) {
+    case Method::kMpiIo:
+      st = co_await file_->write(*backends_.node, file_->size(),
+                                 bytes + kBpFooterBytes);
+      if (st.is_ok()) {
+        backends_.lustre->record_object(file_->path(), var, slab);
+      }
+      break;
+    case Method::kDataspaces:
+    case Method::kDimes:
+      st = co_await backends_.staging->put(var, slab);
+      break;
+    case Method::kFlexpath:
+      st = co_await backends_.flexpath_writer->write_step(var, slab);
+      break;
   }
-  Status result = Status::ok();
-  for (auto& pending : pending_) {
-    const std::uint64_t bytes =
-        pending.slab.box().volume() * nda::kElementBytes;
-    switch (group_->method) {
-      case Method::kMpiIo: {
-        Status st = co_await file_->write(*backends_.node, file_->size(),
-                                          bytes + kBpFooterBytes);
-        if (st.is_ok()) {
-          backends_.lustre->record_object(path_, pending.var,
-                                          std::move(pending.slab));
-        } else {
-          result = st;
-        }
-        break;
-      }
-      case Method::kDataspaces: {
-        Status st =
-            co_await backends_.dataspaces->put(pending.var, pending.slab);
-        if (!st.is_ok()) result = st;
-        break;
-      }
-      case Method::kDimes: {
-        Status st = co_await backends_.dimes->put(pending.var, pending.slab);
-        if (!st.is_ok()) result = st;
-        break;
-      }
-      case Method::kFlexpath: {
-        Status st = co_await backends_.flexpath_writer->write_step(
-            pending.var, pending.slab);
-        if (!st.is_ok()) result = st;
-        break;
-      }
-    }
-    memory_->free(mem::Tag::kLibrary, bytes);
-    buffered_bytes_ -= bytes;
-  }
-  pending_.clear();
-  if (group_->method == Method::kMpiIo && result.is_ok()) {
+  memory_->free(mem::Tag::kLibrary, bytes);
+  if (group_->method == Method::kMpiIo && st.is_ok()) {
     // adios_close on the MPI method closes the BP file: one more metadata
     // operation per rank per step on the (few) Lustre MDS.
     co_await backends_.lustre->close(*file_);
   }
-  co_return result;
+  co_return st;
 }
 
-sim::Task<Status> Io::commit(const nda::VarDesc& var) {
-  switch (group_->method) {
-    case Method::kDataspaces:
-      co_return co_await backends_.dataspaces->publish(var);
-    case Method::kDimes:
-      co_return co_await backends_.dimes->publish(var);
-    case Method::kMpiIo:
-    case Method::kFlexpath:
-      co_return Status::ok();
-  }
-  co_return Status::ok();
-}
-
-sim::Task<Status> Io::open_read(const std::string& path) {
-  path_ = path;
-  switch (group_->method) {
-    case Method::kMpiIo: {
-      assert(backends_.lustre != nullptr && backends_.node != nullptr);
-      auto file = co_await backends_.lustre->open(path);
-      if (!file.has_value()) co_return file.status();
-      file_ = std::move(*file);
-      break;
-    }
-    case Method::kDataspaces:
-      if (Status st = co_await backends_.dataspaces->init(); !st.is_ok()) {
-        co_return st;
-      }
-      break;
-    case Method::kDimes:
-      if (Status st = co_await backends_.dimes->init(); !st.is_ok()) {
-        co_return st;
-      }
-      break;
-    case Method::kFlexpath:
-      assert(backends_.flexpath_reader != nullptr);
-      if (Status st = co_await backends_.flexpath_reader->open(group_->name);
-          !st.is_ok()) {
-        co_return st;
-      }
-      break;
-  }
-  open_ = true;
-  co_return Status::ok();
+sim::Task<Status> Io::publish(const nda::VarDesc& var) {
+  if (backends_.staging == nullptr) co_return Status::ok();
+  co_return co_await backends_.staging->publish(var);
 }
 
 sim::Task<Result<nda::Slab>> Io::read(const nda::VarDesc& var,
@@ -317,12 +257,15 @@ sim::Task<Result<nda::Slab>> Io::read(const nda::VarDesc& var,
   }
   switch (group_->method) {
     case Method::kMpiIo: {
+      if (Status st = co_await open_step(var.version); !st.is_ok()) {
+        co_return st;
+      }
       const std::uint64_t bytes = box.volume() * nda::kElementBytes;
       if (Status st = co_await file_->read(*backends_.node, 0, bytes);
           !st.is_ok()) {
         co_return st;
       }
-      auto hits = backends_.lustre->find_objects(path_, var, box);
+      auto hits = backends_.lustre->find_objects(file_->path(), var, box);
       std::uint64_t covered = 0;
       std::vector<nda::Slab> pieces;
       for (const auto* slab : hits) {
@@ -338,56 +281,25 @@ sim::Task<Result<nda::Slab>> Io::read(const nda::VarDesc& var,
       }
       co_return nda::assemble(box, pieces);
     }
-    case Method::kDataspaces: {
-      if (Status st = co_await backends_.dataspaces->wait_version(
-              var.name, var.version);
-          !st.is_ok()) {
-        co_return st;
-      }
-      co_return co_await backends_.dataspaces->get(var, box);
-    }
-    case Method::kDimes: {
-      if (Status st =
-              co_await backends_.dimes->wait_version(var.name, var.version);
-          !st.is_ok()) {
-        co_return st;
-      }
-      co_return co_await backends_.dimes->get(var, box);
-    }
+    case Method::kDataspaces:
+    case Method::kDimes:
+      co_return co_await backends_.staging->read(var, box);
     case Method::kFlexpath:
       co_return co_await backends_.flexpath_reader->read_step(var, box);
   }
   co_return make_error(ErrorCode::kInternal, "unreachable");
 }
 
-sim::Task<Status> Io::advance_step(int step) {
-  if (group_->method == Method::kFlexpath &&
-      backends_.flexpath_reader != nullptr) {
-    co_return co_await backends_.flexpath_reader->release_step(step);
-  }
-  co_return Status::ok();
+sim::Task<Status> Io::advance(int step) {
+  if (backends_.flexpath_reader == nullptr) co_return Status::ok();
+  co_return co_await backends_.flexpath_reader->release_step(step);
 }
 
 void Io::finalize() {
-  switch (group_->method) {
-    case Method::kMpiIo:
-      file_.reset();
-      break;
-    case Method::kDataspaces:
-      if (backends_.dataspaces != nullptr) backends_.dataspaces->finalize();
-      break;
-    case Method::kDimes:
-      if (backends_.dimes != nullptr) backends_.dimes->finalize();
-      break;
-    case Method::kFlexpath:
-      if (backends_.flexpath_writer != nullptr) {
-        backends_.flexpath_writer->close();
-      }
-      if (backends_.flexpath_reader != nullptr) {
-        backends_.flexpath_reader->close();
-      }
-      break;
-  }
+  file_.reset();
+  if (backends_.staging != nullptr) backends_.staging->finalize();
+  if (backends_.flexpath_writer != nullptr) backends_.flexpath_writer->close();
+  if (backends_.flexpath_reader != nullptr) backends_.flexpath_reader->close();
   open_ = false;
 }
 

@@ -17,20 +17,20 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "adios/xml.h"
 #include "common/status.h"
 #include "common/units.h"
-#include "dataspaces/dataspaces.h"
-#include "dimes/dimes.h"
 #include "flexpath/flexpath.h"
 #include "lustre/lustre.h"
 #include "mem/memory.h"
 #include "ndarray/ndarray.h"
 #include "sim/engine.h"
 #include "sim/task.h"
+#include "staging/port.h"
 
 namespace imc::adios {
 
@@ -67,71 +67,68 @@ Result<AdiosConfig> parse_config(const std::string& xml);
 Result<nda::Dims> resolve_dims(const std::string& spec,
                                const std::map<std::string, std::uint64_t>& symbols);
 
-// Per-rank I/O context: the adios_open/adios_write/adios_close and
-// read-API surface for one group. Exactly one backend pointer matching the
-// group's method must be supplied.
-class Io {
+// Per-rank I/O context for one group: the adios_open/adios_write/
+// adios_close and read-API surface, exposed as the staging port. The
+// backend matching the group's method must be supplied: `staging` for
+// DATASPACES and DIMES, the Flexpath writer or reader for FLEXPATH, lustre
+// and node for MPI. The Io never owns its backends and must not outlive
+// them.
+class Io : public staging::Port {
  public:
   struct Backends {
-    dataspaces::DataSpaces::Client* dataspaces = nullptr;
-    dimes::Dimes::Client* dimes = nullptr;
+    staging::Port* staging = nullptr;  // a DataSpaces or DIMES client
     flexpath::Flexpath::Writer* flexpath_writer = nullptr;
     flexpath::Flexpath::Reader* flexpath_reader = nullptr;
     lustre::FileSystem* lustre = nullptr;
     hpc::Node* node = nullptr;  // MPI-IO needs the rank's node for striping
   };
 
+  // `path` names the BP output; the MPI method writes step v to
+  // "<path>.<v>".
   Io(sim::Engine& engine, const AdiosConfig& config, const GroupDecl& group,
-     Backends backends, mem::ProcessMemory& memory, double cpu_speed = 1.0);
+     std::string path, Backends backends, mem::ProcessMemory& memory,
+     double cpu_speed = 1.0);
 
-  // adios_open(..., "w"): method-level open (MPI-IO touches the MDS; the
-  // staging methods initialize their clients).
-  sim::Task<Status> open_write(const std::string& path);
+  // adios_open: method-level open. The staging methods initialize their
+  // client, Flexpath opens the writer or the reader it was given; MPI
+  // opens one BP file per step inside put()/read(), as ADIOS 1.x does.
+  sim::Task<Status> init() override;
 
-  // adios_write: copies the slab into the group buffer. Fails with
+  // adios_write + adios_close: copies the slab into the group buffer, then
+  // flushes it through the method and releases the buffer. Fails with
   // kOutOfMemory when the configured buffer size would be exceeded (ADIOS
-  // 1.x behavior).
-  sim::Task<Status> write(const nda::VarDesc& var, const nda::Slab& slab);
-
-  // adios_close: flushes the buffered writes through the method and
-  // releases the buffer. For staging methods, data becomes visible to
-  // readers only after commit() (the collective unlock).
-  sim::Task<Status> close();
+  // 1.x behavior). For staging methods, data becomes visible to readers
+  // only after publish() (the collective unlock).
+  sim::Task<Status> put(const nda::VarDesc& var,
+                        const nda::Slab& slab) override;
 
   // Collective step commit: exactly one rank (the writer root) calls this
-  // after all ranks closed. Publishes the staged version (DataSpaces/DIMES);
+  // after all ranks' puts. Publishes the staged version (DataSpaces/DIMES);
   // no-op for MPI-IO and Flexpath (file visibility / queue semantics).
-  sim::Task<Status> commit(const nda::VarDesc& var);
+  sim::Task<Status> publish(const nda::VarDesc& var) override;
 
-  // --- read API ---
-  sim::Task<Status> open_read(const std::string& path);
   // adios_schedule_read + adios_perform_reads for one box selection.
   // Blocks until the requested version is available.
   sim::Task<Result<nda::Slab>> read(const nda::VarDesc& var,
-                                    const nda::Box& box);
+                                    const nda::Box& box) override;
+
   // adios_advance_step on the reader side (Flexpath releases the step).
-  sim::Task<Status> advance_step(int step);
+  sim::Task<Status> advance(int step) override;
 
-  void finalize();
-
-  std::uint64_t buffered_bytes() const { return buffered_bytes_; }
+  void finalize() override;
 
  private:
-  struct Pending {
-    nda::VarDesc var;
-    nda::Slab slab;
-  };
+  // Opens the MPI method's BP file of `version` as file_.
+  sim::Task<Status> open_step(int version);
 
   sim::Engine* engine_;
   const AdiosConfig* config_;
   const GroupDecl* group_;
+  std::string base_path_;
   Backends backends_;
   mem::ProcessMemory* memory_;
   double cpu_speed_;
-  std::string path_;
-  std::vector<Pending> pending_;
-  std::uint64_t buffered_bytes_ = 0;
-  std::shared_ptr<lustre::File> file_;
+  std::shared_ptr<lustre::File> file_;  // the MPI method's current step
   bool open_ = false;
 };
 

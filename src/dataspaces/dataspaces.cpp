@@ -1024,6 +1024,14 @@ sim::Task<Status> DataSpaces::Client::wait_version(const std::string& var,
   co_return last;
 }
 
+sim::Task<Result<nda::Slab>> DataSpaces::Client::read(const nda::VarDesc& var,
+                                                     const nda::Box& box) {
+  if (Status st = co_await wait_version(var.name, var.version); !st.is_ok()) {
+    co_return st;
+  }
+  co_return co_await get(var, box);
+}
+
 namespace {
 // The lock service lives on the master server; each lock/unlock is one
 // small control message away.

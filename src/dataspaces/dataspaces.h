@@ -41,6 +41,7 @@
 #include "sim/engine.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+#include "staging/port.h"
 
 namespace imc::dataspaces {
 
@@ -108,7 +109,9 @@ class DataSpaces {
 
   // A per-rank client handle. The handle does not own the process memory;
   // the workflow harness allocates one ProcessMemory per rank.
-  class Client {
+  // The native client is a staging::Port: its dspaces_* calls are the
+  // port's operations, plus read().
+  class Client : public staging::Port {
    public:
     Client(DataSpaces& ds, net::Endpoint self, mem::ProcessMemory& memory)
         : ds_(&ds), self_(self), memory_(&memory) {}
@@ -116,12 +119,13 @@ class DataSpaces {
     // dspaces_init: connect to every server (sockets consume descriptors,
     // RDMA acquires DRC credentials where required) and allocate the
     // client-side library pool.
-    sim::Task<Status> init();
+    sim::Task<Status> init() override;
 
     // dspaces_put: stage one slab of `var`. Splits the slab by staging
     // region and moves each piece to its region's server in coordinate
     // order.
-    sim::Task<Status> put(const nda::VarDesc& var, const nda::Slab& slab);
+    sim::Task<Status> put(const nda::VarDesc& var,
+                          const nda::Slab& slab) override;
 
     // dspaces_get: retrieve `box` of `var`. The caller must have waited for
     // the version to be published.
@@ -131,10 +135,14 @@ class DataSpaces {
     // dspaces_unlock_on_write: publish a completed version (called by one
     // designated writer after all ranks' puts finished). Triggers eviction
     // of versions older than max_versions.
-    sim::Task<Status> publish(const nda::VarDesc& var);
+    sim::Task<Status> publish(const nda::VarDesc& var) override;
 
     // dspaces_lock_on_read: block until `version` of `var` is published.
     sim::Task<Status> wait_version(const std::string& var, int version);
+
+    // wait_version(var.version), then get.
+    sim::Task<Result<nda::Slab>> read(const nda::VarDesc& var,
+                                      const nda::Box& box) override;
 
     // The named-lock API (dspaces_lock_on_write / _on_read and their
     // unlocks): a control round trip to the master server plus the lock
@@ -146,7 +154,7 @@ class DataSpaces {
 
     // dspaces_finalize: release connections and the client pool, also
     // after an init whose connects failed.
-    void finalize();
+    void finalize() override;
 
    private:
     DataSpaces* ds_;

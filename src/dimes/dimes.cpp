@@ -823,6 +823,14 @@ sim::Task<Status> Dimes::Client::wait_version(const std::string& var,
   co_return last;
 }
 
+sim::Task<Result<nda::Slab>> Dimes::Client::read(const nda::VarDesc& var,
+                                                const nda::Box& box) {
+  if (Status st = co_await wait_version(var.name, var.version); !st.is_ok()) {
+    co_return st;
+  }
+  co_return co_await get(var, box);
+}
+
 void Dimes::Client::finalize() {
   if (!holds_pool_) return;
   for (auto& object : store_) {

@@ -33,6 +33,7 @@
 #include "sim/engine.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+#include "staging/port.h"
 
 namespace imc::dimes {
 
@@ -82,27 +83,33 @@ class Dimes {
   mem::ProcessMemory& server_memory(int s);
   const ServerStats& server_stats(int s) const;
 
-  class Client {
+  // The native client is a staging::Port: its dimes_* calls are the
+  // port's operations, plus read().
+  class Client : public staging::Port {
    public:
     Client(Dimes& dimes, net::Endpoint self, mem::ProcessMemory& memory)
         : dimes_(&dimes), self_(self), memory_(&memory) {}
 
     // dimes_init: register with the object directory, connect to metadata
     // servers and allocate the client pool.
-    sim::Task<Status> init();
+    sim::Task<Status> init() override;
 
     // dimes_put: store the slab in the local RDMA buffer and publish its
     // descriptor to the responsible metadata server.
-    sim::Task<Status> put(const nda::VarDesc& var, const nda::Slab& slab);
+    sim::Task<Status> put(const nda::VarDesc& var,
+                          const nda::Slab& slab) override;
 
     // dimes_get: look up descriptors at the metadata server, then pull each
     // intersecting piece directly from its owner's memory.
     sim::Task<Result<nda::Slab>> get(const nda::VarDesc& var,
                                      const nda::Box& box);
 
-    sim::Task<Status> publish(const nda::VarDesc& var);
+    sim::Task<Status> publish(const nda::VarDesc& var) override;
     sim::Task<Status> wait_version(const std::string& var, int version);
-    void finalize();
+    // wait_version(var.version), then get.
+    sim::Task<Result<nda::Slab>> read(const nda::VarDesc& var,
+                                      const nda::Box& box) override;
+    void finalize() override;
 
     std::uint64_t buffer_in_use() const { return buffer_used_; }
 

@@ -28,6 +28,7 @@
 #include "ndarray/ndarray.h"
 #include "sim/engine.h"
 #include "sim/sync.h"
+#include "staging/port.h"
 
 namespace imc::workflow {
 
@@ -220,21 +221,21 @@ nda::VarDesc global_desc(const Spec& spec, int version) {
 // application decomposes over (MSD reads its share of the writer columns;
 // MTA its share of the field columns).
 nda::Box reader_box(const Spec& spec, int a) {
-  const nda::VarDesc desc = global_desc(spec, 0);
-  int dim;
-  switch (spec.app) {
-    case AppSel::kLammps:
-      dim = 1;
-      break;
-    case AppSel::kLaplace:
-      dim = 1;
-      break;
-    case AppSel::kSynthetic:
-      dim = spec.synthetic_match_layout ? 2 : 1;
-      break;
-  }
-  return nda::block_1d(desc.global, spec.nana, dim, a);
+  const int dim =
+      spec.app == AppSel::kSynthetic && spec.synthetic_match_layout ? 2 : 1;
+  return nda::block_1d(global_desc(spec, 0).global, spec.nana, dim, a);
 }
+
+// A rank's staging port plus what the rank owns behind it: its Flexpath
+// endpoint and, for methods reached through ADIOS, the adios::Io over the
+// backend. Members destroy in reverse order, so the Io never outlives the
+// endpoint it points to; native clients are world-owned (Ctx::clients).
+struct RankPort {
+  std::unique_ptr<flexpath::Flexpath::Writer> fp_writer;
+  std::unique_ptr<flexpath::Flexpath::Reader> fp_reader;
+  std::unique_ptr<adios::Io> io;
+  staging::Port* port = nullptr;
+};
 
 // Everything one run needs, owned for the run's duration.
 struct Ctx {
@@ -254,11 +255,11 @@ struct Ctx {
   std::unique_ptr<flexpath::Flexpath> flexpath;
   adios::AdiosConfig adios_config;
   adios::GroupDecl adios_group;
-  // Staging clients by rank: simulation ranks first, then analytics ranks.
-  // The world owns them, not the rank's frame, so a rank that stops on a
-  // failure path leaves its pool and staged objects to release_clients().
-  std::vector<std::unique_ptr<dataspaces::DataSpaces::Client>> ds_clients;
-  std::vector<std::unique_ptr<dimes::Dimes::Client>> dimes_clients;
+  // Native staging clients by rank: simulation ranks first, then analytics
+  // ranks. The world owns them, not the rank's frame, so a rank that stops
+  // on a failure path leaves its pool and staged objects to
+  // release_clients().
+  std::vector<std::unique_ptr<staging::Port>> clients;
 
   std::unique_ptr<mpi::Comm> sim_comm;
   std::unique_ptr<mpi::Comm> world;  // Decaf
@@ -295,31 +296,48 @@ struct Ctx {
 
   void fail(std::string what) { failures.push_back(std::move(what)); }
 
-  // Creates the staging client of rank slot `slot` for the deployed method
-  // and returns it (both null for methods without one).
-  std::pair<dataspaces::DataSpaces::Client*, dimes::Dimes::Client*>
-  make_clients(int slot, const net::Endpoint& self,
-               mem::ProcessMemory& memory) {
-    const auto i = static_cast<std::size_t>(slot);
+  // Picks rank slot `slot`'s port once: the native client of the deployed
+  // staging service (if any), behind an adios::Io when the method goes
+  // through ADIOS.
+  RankPort make_port(int slot, bool writer, const net::Endpoint& self,
+                     mem::ProcessMemory& memory) {
+    std::unique_ptr<staging::Port>& client =
+        clients[static_cast<std::size_t>(slot)];
     if (ds) {
-      ds_clients[i] =
-          std::make_unique<dataspaces::DataSpaces::Client>(*ds, self, memory);
+      client = std::make_unique<dataspaces::DataSpaces::Client>(*ds, self,
+                                                                memory);
+    } else if (dimes) {
+      client = std::make_unique<dimes::Dimes::Client>(*dimes, self, memory);
     }
-    if (dimes) {
-      dimes_clients[i] =
-          std::make_unique<dimes::Dimes::Client>(*dimes, self, memory);
+    RankPort rp;
+    rp.port = client.get();
+    if (!via_adios(spec.method)) return rp;
+    adios::Io::Backends backends;
+    backends.staging = client.get();
+    if (flexpath && writer) {
+      rp.fp_writer =
+          std::make_unique<flexpath::Flexpath::Writer>(*flexpath, self, memory);
+      backends.flexpath_writer = rp.fp_writer.get();
+    } else if (flexpath) {
+      rp.fp_reader =
+          std::make_unique<flexpath::Flexpath::Reader>(*flexpath, self, memory);
+      backends.flexpath_reader = rp.fp_reader.get();
     }
-    return {ds_clients[i].get(), dimes_clients[i].get()};
+    backends.lustre = fs.get();
+    backends.node = self.node;
+    rp.io = std::make_unique<adios::Io>(
+        engine, adios_config, adios_group,
+        "/scratch/" + std::string(to_string(spec.app)) + ".bp", backends,
+        memory, spec.machine.cpu_speed);
+    rp.port = rp.io.get();
+    return rp;
   }
 
   // Finalizes every client a rank left holding its pool (after a failed
   // step, or an init whose connects failed), the way the rank's own
   // finalize would have. Synchronous, so no simulated time passes.
   void release_clients() {
-    for (auto& client : ds_clients) {
-      if (client) client->finalize();
-    }
-    for (auto& client : dimes_clients) {
+    for (auto& client : clients) {
       if (client) client->finalize();
     }
   }
@@ -351,7 +369,79 @@ net::TransportKind resolve_transport(const Spec& spec) {
 }
 
 // ---------------------------------------------------------------------------
-// Simulation-rank process for the non-Decaf methods.
+// Per-step phases shared by the staging ranks and the Decaf processes.
+// ---------------------------------------------------------------------------
+
+// Compute phase of simulation rank `r`: the real micro-kernel plus the
+// calibrated cost. Straggler ranks (fault plan) compute slower by the
+// planned factor.
+sim::Task<> compute_step(Ctx& ctx, WriterApp& app, int r,
+                         [[maybe_unused]] trace::Track track) {
+  const Spec& spec = ctx.spec;
+  app.advance(ctx.run_kernel);
+  double dt = spec.compute_scale *
+              spec.machine.relative_compute_time(app.titan_step_seconds());
+  if (fault::Injector* injector = fault::active()) {
+    dt *= injector->straggler_factor(r);
+  }
+  {
+    TRACE_SPAN("sim.compute", track.node, track.tid);
+    co_await ctx.engine.sleep(dt);
+  }
+  ctx.sim_compute[static_cast<std::size_t>(r)] += dt;
+}
+
+// GPU-resident output crosses PCIe before it is staged (§IV-B): none of
+// the staging libraries read device memory, so the rank copies it to the
+// host first, unless GPUDirect is modeled. With `bounce`, a host bounce
+// buffer of the output's size is allocated there for the copy's duration.
+sim::Task<Status> copy_to_host(Ctx& ctx, int r, const nda::Slab& slab,
+                               mem::ProcessMemory* bounce) {
+  const Spec& spec = ctx.spec;
+  if (!spec.gpu_resident_output || spec.use_gpudirect) co_return Status::ok();
+  const std::uint64_t out_bytes = slab.box().volume() * nda::kElementBytes;
+  mem::ScopedAlloc buffer;
+  if (bounce != nullptr) {
+    Status status;
+    buffer = mem::ScopedAlloc(*bounce, mem::Tag::kLibrary, out_bytes, &status);
+    if (!status.is_ok()) co_return status;
+  }
+  const double copy =
+      static_cast<double>(out_bytes) / spec.machine.gpu_copy_bandwidth;
+  co_await ctx.engine.sleep(copy);
+  ctx.sim_gpu_copy[static_cast<std::size_t>(r)] += copy;
+  co_return Status::ok();
+}
+
+// Analysis phase of analytics rank `a`: real math over the (possibly
+// sampled) content of `got`, plus the calibrated compute cost. MSD keeps
+// step 0 as its reference.
+sim::Task<> analyze_step(Ctx& ctx, int a, int step, const nda::Slab& got,
+                         nda::Slab& reference, std::uint64_t box_bytes,
+                         [[maybe_unused]] trace::Track track) {
+  const Spec& spec = ctx.spec;
+  double titan_seconds = 0.05;
+  if (spec.app == AppSel::kLammps) {
+    if (step == 0) reference = got;
+    const double msd = apps::mean_squared_displacement(reference, got, 512);
+    if (a == 0) ctx.analysis_sample = msd;  // rank 0's value: deterministic
+    titan_seconds = apps::msd_titan_seconds_per_step(box_bytes);
+  } else if (spec.app == AppSel::kLaplace) {
+    auto moments = apps::moment_analysis(got, 4, 2048);
+    if (a == 0) ctx.analysis_sample = moments.empty() ? 0 : moments[0];
+    titan_seconds = apps::mta_titan_seconds_per_step(box_bytes);
+  }
+  const double dt =
+      spec.compute_scale * spec.machine.relative_compute_time(titan_seconds);
+  {
+    TRACE_SPAN("ana.compute", track.node, track.tid);
+    co_await ctx.engine.sleep(dt);
+  }
+  ctx.ana_compute[static_cast<std::size_t>(a)] += dt;
+}
+
+// ---------------------------------------------------------------------------
+// Simulation-rank process for the staging methods (every method but Decaf).
 // ---------------------------------------------------------------------------
 
 sim::Task<> sim_rank(Ctx& ctx, int r) {
@@ -368,43 +458,11 @@ sim::Task<> sim_rank(Ctx& ctx, int r) {
     co_return;
   }
 
-  // Per-method client state.
-  std::unique_ptr<flexpath::Flexpath::Writer> fp_writer;
-  std::unique_ptr<adios::Io> io;
-
   const net::Endpoint self = ctx.sim_ep(r);
-  auto [ds_client, dimes_client] = ctx.make_clients(r, self, memory);
-  if (ctx.flexpath) {
-    fp_writer = std::make_unique<flexpath::Flexpath::Writer>(*ctx.flexpath,
-                                                             self, memory);
-  }
-  if (via_adios(spec.method)) {
-    adios::Io::Backends backends;
-    backends.dataspaces = ds_client;
-    backends.dimes = dimes_client;
-    backends.flexpath_writer = fp_writer.get();
-    backends.lustre = ctx.fs.get();
-    backends.node = self.node;
-    io = std::make_unique<adios::Io>(ctx.engine, ctx.adios_config,
-                                     ctx.adios_group, backends, memory,
-                                     spec.machine.cpu_speed);
-  }
-
-  // Initialize the I/O path. The MPI method opens one BP file per step
-  // inside the loop (as adios_open does); staging methods initialize once.
-  const std::string base_path =
-      "/scratch/" + std::string(to_string(spec.app)) + ".bp";
-  Status init_status = Status::ok();
-  if (via_adios(spec.method) && spec.method != MethodSel::kMpiIo) {
-    init_status = co_await io->open_write(base_path);
-  } else if (ds_client) {
-    init_status = co_await ds_client->init();
-  } else if (dimes_client) {
-    init_status = co_await dimes_client->init();
-  }
-  if (!init_status.is_ok()) {
-    ctx.fail("sim rank " + std::to_string(r) + " init: " +
-             init_status.to_string());
+  const RankPort rp = ctx.make_port(r, /*writer=*/true, self, memory);
+  staging::Port& port = *rp.port;
+  if (Status st = co_await port.init(); !st.is_ok()) {
+    ctx.fail("sim rank " + std::to_string(r) + " init: " + st.to_string());
     co_return;
   }
   if (ctx.flexpath) {
@@ -414,63 +472,23 @@ sim::Task<> sim_rank(Ctx& ctx, int r) {
   co_await ctx.sim_comm->barrier(r);
 
   auto& staging_s = ctx.sim_staging[static_cast<std::size_t>(r)];
-  auto& compute_s = ctx.sim_compute[static_cast<std::size_t>(r)];
   const trace::Track track{self.node->id(), self.pid};
   for (int step = 0; step < spec.steps; ++step) {
-    // Compute phase: the real micro-kernel plus the calibrated cost.
-    // Straggler ranks (fault plan) compute slower by the planned factor.
-    app.advance(ctx.run_kernel);
-    double dt = spec.compute_scale *
-                spec.machine.relative_compute_time(app.titan_step_seconds());
-    if (fault::Injector* injector = fault::active()) {
-      dt *= injector->straggler_factor(r);
-    }
-    {
-      TRACE_SPAN("sim.compute", track.node, track.tid);
-      co_await ctx.engine.sleep(dt);
-    }
-    compute_s += dt;
+    co_await compute_step(ctx, app, r, track);
 
-    // Output phase. GPU-resident data crosses PCIe first (§IV-B): none of
-    // the staging libraries read device memory, so the rank stages through
-    // a host bounce buffer — unless GPUDirect is modeled.
+    // Output phase.
     const nda::VarDesc var = app.desc(step);
     const nda::Slab slab = app.output(step);
-    if (spec.gpu_resident_output && !spec.use_gpudirect) {
-      const std::uint64_t out_bytes = slab.box().volume() * nda::kElementBytes;
-      Status bounce_status;
-      mem::ScopedAlloc bounce(memory, mem::Tag::kLibrary, out_bytes,
-                              &bounce_status);
-      if (!bounce_status.is_ok()) {
-        ctx.fail("sim rank " + std::to_string(r) + " D2H bounce: " +
-                 bounce_status.to_string());
-        co_return;
-      }
-      const double copy = static_cast<double>(out_bytes) /
-                          spec.machine.gpu_copy_bandwidth;
-      co_await ctx.engine.sleep(copy);
-      ctx.sim_gpu_copy[static_cast<std::size_t>(r)] += copy;
+    if (Status st = co_await copy_to_host(ctx, r, slab, &memory);
+        !st.is_ok()) {
+      ctx.fail("sim rank " + std::to_string(r) + " D2H bounce: " +
+               st.to_string());
+      co_return;
     }
     const double t0 = ctx.engine.now();
     trace::Span staging_span = trace::span("sim.staging", track);
     staging_span.arg("step", step);
-    Status st;
-    if (via_adios(spec.method)) {
-      if (spec.method == MethodSel::kMpiIo) {
-        st = co_await io->open_write(base_path + "." + std::to_string(step));
-        if (!st.is_ok()) {
-          ctx.fail("sim rank " + std::to_string(r) + " open: " +
-                   st.to_string());
-          co_return;
-        }
-      }
-      st = co_await io->write(var, slab);
-      if (st.is_ok()) st = co_await io->close();
-    } else if (ds_client) {
-      st = co_await ds_client->put(var, slab);
-    } else {
-      st = co_await dimes_client->put(var, slab);
-    }
+    const Status st = co_await port.put(var, slab);
     staging_span.end();
     staging_s += ctx.engine.now() - t0;
     if (!st.is_ok()) {
@@ -482,17 +500,9 @@ sim::Task<> sim_rank(Ctx& ctx, int r) {
     // Commit: all ranks' puts complete, then the root publishes.
     co_await ctx.sim_comm->barrier(r);
     if (r == 0) {
-      Status commit_status;
-      if (via_adios(spec.method)) {
-        commit_status = co_await io->commit(var);
-      } else if (ds_client) {
-        commit_status = co_await ds_client->publish(var);
-      } else {
-        commit_status = co_await dimes_client->publish(var);
-      }
-      if (!commit_status.is_ok()) {
+      if (Status commit = co_await port.publish(var); !commit.is_ok()) {
         ctx.fail("commit step " + std::to_string(step) + ": " +
-                 commit_status.to_string());
+                 commit.to_string());
         co_return;
       }
     }
@@ -506,17 +516,11 @@ sim::Task<> sim_rank(Ctx& ctx, int r) {
   if (ctx.dimes || ctx.flexpath) {
     co_await ctx.ana_finished->wait();
   }
-  if (io) {
-    io->finalize();
-  } else if (ds_client) {
-    ds_client->finalize();
-  } else if (dimes_client) {
-    dimes_client->finalize();
-  }
+  port.finalize();
 }
 
 // ---------------------------------------------------------------------------
-// Analytics-rank process for the non-Decaf methods.
+// Analytics-rank process for the staging methods.
 // ---------------------------------------------------------------------------
 
 sim::Task<> ana_rank(Ctx& ctx, int a) {
@@ -535,51 +539,21 @@ sim::Task<> ana_rank(Ctx& ctx, int a) {
     co_return;
   }
 
-  std::unique_ptr<flexpath::Flexpath::Reader> fp_reader;
-  std::unique_ptr<adios::Io> io;
   const net::Endpoint self = ctx.ana_ep(a);
-  auto [ds_client, dimes_client] =
-      ctx.make_clients(spec.nsim + a, self, memory);
-  if (ctx.flexpath) {
-    co_await ctx.writers_ready->wait();  // subscribe after publishers exist
-    fp_reader = std::make_unique<flexpath::Flexpath::Reader>(*ctx.flexpath,
-                                                             self, memory);
-  }
-  if (via_adios(spec.method)) {
-    adios::Io::Backends backends;
-    backends.dataspaces = ds_client;
-    backends.dimes = dimes_client;
-    backends.flexpath_reader = fp_reader.get();
-    backends.lustre = ctx.fs.get();
-    backends.node = self.node;
-    io = std::make_unique<adios::Io>(ctx.engine, ctx.adios_config,
-                                     ctx.adios_group, backends, memory,
-                                     spec.machine.cpu_speed);
-  }
-
-  // MPI-IO is post-processing: wait until the simulation completed.
-  if (spec.method == MethodSel::kMpiIo) {
-    co_await ctx.sim_finished->wait();
-  }
-
-  const std::string base_path =
-      "/scratch/" + std::string(to_string(spec.app)) + ".bp";
-  Status init_status = Status::ok();
-  if (via_adios(spec.method) && spec.method != MethodSel::kMpiIo) {
-    init_status = co_await io->open_read(base_path);
-  } else if (ds_client) {
-    init_status = co_await ds_client->init();
-  } else if (dimes_client) {
-    init_status = co_await dimes_client->init();
-  }
-  if (!init_status.is_ok()) {
+  const RankPort rp =
+      ctx.make_port(spec.nsim + a, /*writer=*/false, self, memory);
+  staging::Port& port = *rp.port;
+  // Flexpath subscribes after its publishers exist. MPI-IO is
+  // post-processing: it waits until the simulation completed.
+  if (ctx.flexpath) co_await ctx.writers_ready->wait();
+  if (ctx.fs) co_await ctx.sim_finished->wait();
+  if (Status st = co_await port.init(); !st.is_ok()) {
     ctx.fail("analytics rank " + std::to_string(a) + " init: " +
-             init_status.to_string());
+             st.to_string());
     co_return;
   }
 
   auto& staging_s = ctx.ana_staging[static_cast<std::size_t>(a)];
-  auto& compute_s = ctx.ana_compute[static_cast<std::size_t>(a)];
   const trace::Track track{self.node->id(), self.pid};
   nda::Slab reference;
   for (int step = 0; step < spec.steps; ++step) {
@@ -587,32 +561,7 @@ sim::Task<> ana_rank(Ctx& ctx, int a) {
     const double t0 = ctx.engine.now();
     trace::Span staging_span = trace::span("ana.staging", track);
     staging_span.arg("step", step);
-    Result<nda::Slab> got = Status::ok();
-    if (via_adios(spec.method)) {
-      if (spec.method == MethodSel::kMpiIo) {
-        if (Status st = co_await io->open_read(base_path + "." +
-                                               std::to_string(step));
-            !st.is_ok()) {
-          ctx.fail("analytics open: " + st.to_string());
-          co_return;
-        }
-      }
-      got = co_await io->read(var, my_box);
-    } else if (ds_client) {
-      if (Status st = co_await ds_client->wait_version(var.name, step);
-          st.is_ok()) {
-        got = co_await ds_client->get(var, my_box);
-      } else {
-        got = st;
-      }
-    } else {
-      if (Status st = co_await dimes_client->wait_version(var.name, step);
-          st.is_ok()) {
-        got = co_await dimes_client->get(var, my_box);
-      } else {
-        got = st;
-      }
-    }
+    const Result<nda::Slab> got = co_await port.read(var, my_box);
     staging_span.end();
     staging_s += ctx.engine.now() - t0;
     if (!got.has_value()) {
@@ -620,45 +569,14 @@ sim::Task<> ana_rank(Ctx& ctx, int a) {
                std::to_string(step) + ": " + got.status().to_string());
       co_return;
     }
-
-    // Analysis: real math over the (possibly sampled) content, plus the
-    // calibrated compute cost.
-    double titan_seconds = 0;
-    if (spec.app == AppSel::kLammps) {
-      if (step == 0) reference = *got;
-      const double msd = apps::mean_squared_displacement(reference, *got, 512);
-      if (a == 0) ctx.analysis_sample = msd;  // rank 0's value: deterministic
-      titan_seconds = apps::msd_titan_seconds_per_step(box_bytes);
-    } else if (spec.app == AppSel::kLaplace) {
-      auto moments = apps::moment_analysis(*got, 4, 2048);
-      if (a == 0) ctx.analysis_sample = moments.empty() ? 0 : moments[0];
-      titan_seconds = apps::mta_titan_seconds_per_step(box_bytes);
-    } else {
-      titan_seconds = 0.05;
-    }
-    const double dt =
-        spec.compute_scale * spec.machine.relative_compute_time(titan_seconds);
-    {
-      TRACE_SPAN("ana.compute", track.node, track.tid);
-      co_await ctx.engine.sleep(dt);
-    }
-    compute_s += dt;
-
-    if (via_adios(spec.method)) {
-      if (Status st = co_await io->advance_step(step); !st.is_ok()) {
-        ctx.fail("advance_step: " + st.to_string());
-        co_return;
-      }
+    co_await analyze_step(ctx, a, step, *got, reference, box_bytes, track);
+    if (Status st = co_await port.advance(step); !st.is_ok()) {
+      ctx.fail("advance_step: " + st.to_string());
+      co_return;
     }
   }
 
-  if (io) {
-    io->finalize();
-  } else if (ds_client) {
-    ds_client->finalize();
-  } else if (dimes_client) {
-    dimes_client->finalize();
-  }
+  port.finalize();
   ctx.ana_done[static_cast<std::size_t>(a)] = ctx.engine.now();
   if (++ctx.ana_finished_count == spec.nana) ctx.ana_finished->set();
 }
@@ -689,29 +607,14 @@ sim::Task<> decaf_producer(Ctx& ctx, int r) {
     co_return;
   }
   auto& staging_s = ctx.sim_staging[static_cast<std::size_t>(r)];
-  auto& compute_s = ctx.sim_compute[static_cast<std::size_t>(r)];
   const net::Endpoint self = ctx.sim_ep(r);
   const trace::Track track{self.node->id(), self.pid};
   for (int step = 0; step < spec.steps; ++step) {
-    app.advance(ctx.run_kernel);
-    double dt = spec.compute_scale *
-                spec.machine.relative_compute_time(app.titan_step_seconds());
-    if (fault::Injector* injector = fault::active()) {
-      dt *= injector->straggler_factor(r);
-    }
-    {
-      TRACE_SPAN("sim.compute", track.node, track.tid);
-      co_await ctx.engine.sleep(dt);
-    }
-    compute_s += dt;
+    co_await compute_step(ctx, app, r, track);
     const nda::Slab slab = app.output(step);
-    if (spec.gpu_resident_output && !spec.use_gpudirect) {
-      const std::uint64_t out_bytes = slab.box().volume() * nda::kElementBytes;
-      const double copy = static_cast<double>(out_bytes) /
-                          spec.machine.gpu_copy_bandwidth;
-      co_await ctx.engine.sleep(copy);
-      ctx.sim_gpu_copy[static_cast<std::size_t>(r)] += copy;
-    }
+    // Decaf stages straight from the copy: without a bounce buffer to
+    // allocate it cannot fail.
+    co_await copy_to_host(ctx, r, slab, /*bounce=*/nullptr);
     const double t0 = ctx.engine.now();
     trace::Span staging_span = trace::span("sim.staging", track);
     staging_span.arg("step", step);
@@ -750,7 +653,6 @@ sim::Task<> decaf_consumer(Ctx& ctx, int a) {
     co_return;
   }
   auto& staging_s = ctx.ana_staging[static_cast<std::size_t>(a)];
-  auto& compute_s = ctx.ana_compute[static_cast<std::size_t>(a)];
   const net::Endpoint self = ctx.ana_ep(a);
   const trace::Track track{self.node->id(), self.pid};
   nda::Slab reference;
@@ -767,24 +669,7 @@ sim::Task<> decaf_consumer(Ctx& ctx, int a) {
                std::to_string(step) + ": " + got.status().to_string());
       co_return;
     }
-    double titan_seconds = 0.05;
-    if (spec.app == AppSel::kLammps) {
-      if (step == 0) reference = *got;
-      const double msd = apps::mean_squared_displacement(reference, *got, 512);
-      if (a == 0) ctx.analysis_sample = msd;
-      titan_seconds = apps::msd_titan_seconds_per_step(box_bytes);
-    } else if (spec.app == AppSel::kLaplace) {
-      auto moments = apps::moment_analysis(*got, 4, 2048);
-      if (a == 0) ctx.analysis_sample = moments.empty() ? 0 : moments[0];
-      titan_seconds = apps::mta_titan_seconds_per_step(box_bytes);
-    }
-    const double dt =
-        spec.compute_scale * spec.machine.relative_compute_time(titan_seconds);
-    {
-      TRACE_SPAN("ana.compute", track.node, track.tid);
-      co_await ctx.engine.sleep(dt);
-    }
-    compute_s += dt;
+    co_await analyze_step(ctx, a, step, *got, reference, box_bytes, track);
   }
   ctx.ana_done[static_cast<std::size_t>(a)] = ctx.engine.now();
 }
@@ -927,8 +812,7 @@ RunResult run(const Spec& spec) {
   ctx.ana_compute.assign(static_cast<std::size_t>(spec.nana), 0);
   ctx.ana_staging.assign(static_cast<std::size_t>(spec.nana), 0);
   ctx.ana_done.assign(static_cast<std::size_t>(spec.nana), -1);
-  ctx.ds_clients.resize(static_cast<std::size_t>(spec.nsim + spec.nana));
-  ctx.dimes_clients.resize(static_cast<std::size_t>(spec.nsim + spec.nana));
+  ctx.clients.resize(static_cast<std::size_t>(spec.nsim + spec.nana));
 
   // Deploy the selected method's infrastructure. In shared-node mode the
   // staging servers are colocated with the simulation (the whole point of

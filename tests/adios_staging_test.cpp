@@ -1,6 +1,6 @@
 // ADIOS Io over the staging backends (the MPI-IO path is covered in
-// adios_test.cpp): write/commit/read round trips through DataSpaces and
-// DIMES behind the framework API, including the umbrella header.
+// adios_test.cpp): put/publish/read round trips through DataSpaces and
+// DIMES behind the framework's staging port, including the umbrella header.
 #include <gtest/gtest.h>
 
 #include "imc.h"
@@ -47,24 +47,23 @@ TEST_F(StagingIoFixture, DataspacesRoundTripThroughTheFramework) {
       rmem);
 
   Io::Backends wb, rb;
-  wb.dataspaces = &wclient;
-  rb.dataspaces = &rclient;
-  Io writer(engine, config, group, wb, wmem);
-  Io reader(engine, config, group, rb, rmem);
+  wb.staging = &wclient;
+  rb.staging = &rclient;
+  Io writer(engine, config, group, "stream", wb, wmem);
+  Io reader(engine, config, group, "stream", rb, rmem);
 
   const nda::Dims dims = {32, 32};
   nda::Slab source = nda::Slab::synthetic(nda::Box::whole(dims), 7);
 
   engine.spawn([](Io& w, nda::Dims dims, nda::Slab src) -> sim::Task<> {
     nda::VarDesc var{"u", dims, 0};
-    EXPECT_TRUE((co_await w.open_write("stream")).is_ok());
-    EXPECT_TRUE((co_await w.write(var, src)).is_ok());
-    EXPECT_TRUE((co_await w.close()).is_ok());
-    EXPECT_TRUE((co_await w.commit(var)).is_ok());
+    EXPECT_TRUE((co_await w.init()).is_ok());
+    EXPECT_TRUE((co_await w.put(var, src)).is_ok());
+    EXPECT_TRUE((co_await w.publish(var)).is_ok());
   }(writer, dims, source));
   engine.spawn([](Io& r, nda::Dims dims, nda::Slab src) -> sim::Task<> {
     nda::VarDesc var{"u", dims, 0};
-    EXPECT_TRUE((co_await r.open_read("stream")).is_ok());
+    EXPECT_TRUE((co_await r.init()).is_ok());
     nda::Box half({0, 0}, {16, 32});
     auto got = co_await r.read(var, half);
     EXPECT_TRUE(got.has_value()) << got.status();
@@ -90,10 +89,10 @@ TEST_F(StagingIoFixture, DimesRoundTripThroughTheFramework) {
       rmem);
 
   Io::Backends wb, rb;
-  wb.dimes = &wclient;
-  rb.dimes = &rclient;
-  Io writer(engine, config, group, wb, wmem);
-  Io reader(engine, config, group, rb, rmem);
+  wb.staging = &wclient;
+  rb.staging = &rclient;
+  Io writer(engine, config, group, "stream", wb, wmem);
+  Io reader(engine, config, group, "stream", rb, rmem);
 
   const nda::Dims dims = {16, 48};
   nda::Slab source = nda::Slab::synthetic(nda::Box::whole(dims), 9);
@@ -102,17 +101,16 @@ TEST_F(StagingIoFixture, DimesRoundTripThroughTheFramework) {
   engine.spawn([](sim::Engine& e, Io& w, nda::Dims dims, nda::Slab src,
                   bool& done) -> sim::Task<> {
     nda::VarDesc var{"u", dims, 2};
-    EXPECT_TRUE((co_await w.open_write("stream")).is_ok());
-    EXPECT_TRUE((co_await w.write(var, src)).is_ok());
-    EXPECT_TRUE((co_await w.close()).is_ok());
-    EXPECT_TRUE((co_await w.commit(var)).is_ok());
+    EXPECT_TRUE((co_await w.init()).is_ok());
+    EXPECT_TRUE((co_await w.put(var, src)).is_ok());
+    EXPECT_TRUE((co_await w.publish(var)).is_ok());
     // DIMES data lives in this writer's memory: stay alive for the reader.
     while (!done) co_await e.sleep(1e-3);
   }(engine, writer, dims, source, writer_done));
   engine.spawn([](Io& r, nda::Dims dims, nda::Slab src,
                   bool& done) -> sim::Task<> {
     nda::VarDesc var{"u", dims, 2};
-    EXPECT_TRUE((co_await r.open_read("stream")).is_ok());
+    EXPECT_TRUE((co_await r.init()).is_ok());
     nda::Box whole = nda::Box::whole(dims);
     auto got = co_await r.read(var, whole);
     EXPECT_TRUE(got.has_value()) << got.status();
@@ -139,19 +137,18 @@ TEST_F(StagingIoFixture, AdiosAddsStatsCostOverNative) {
       ds, net::Endpoint{1, 0, &cluster.node(cluster.allocate_nodes(1)[0])},
       wmem);
   Io::Backends wb;
-  wb.dataspaces = &wclient;
-  Io writer(engine, config, group, wb, wmem);
+  wb.staging = &wclient;
+  Io writer(engine, config, group, "stream", wb, wmem);
 
   double framework_time = 0, native_time = 0;
   engine.spawn([](sim::Engine& e, Io& w, dataspaces::DataSpaces::Client& c,
                   double& fw, double& native) -> sim::Task<> {
     const nda::Dims dims = {256, 256};
     nda::Slab content = nda::Slab::synthetic(nda::Box::whole(dims), 1);
-    EXPECT_TRUE((co_await w.open_write("stream")).is_ok());
+    EXPECT_TRUE((co_await w.init()).is_ok());
     double t0 = e.now();
     nda::VarDesc v0{"u", dims, 0};
-    EXPECT_TRUE((co_await w.write(v0, content)).is_ok());
-    EXPECT_TRUE((co_await w.close()).is_ok());
+    EXPECT_TRUE((co_await w.put(v0, content)).is_ok());
     fw = e.now() - t0;
     t0 = e.now();
     nda::VarDesc v1{"u", dims, 1};

@@ -130,7 +130,7 @@ TEST(Methods, RoundTripNames) {
   EXPECT_EQ(to_string(Method::kDimes), "DIMES");
 }
 
-// --- Io over MPI-IO (the self-contained backend) ---------------------------
+// --- Io over MPI-IO (the self-contained backend), through the port ---------
 
 struct IoFixture : ::testing::Test {
   IoFixture()
@@ -161,19 +161,18 @@ struct IoFixture : ::testing::Test {
 
 TEST_F(IoFixture, WriteReadRoundTripThroughLustre) {
   mem::ProcessMemory wmem(engine, "w"), rmem(engine, "r");
-  Io writer(engine, config, group, backends(0), wmem);
-  Io reader(engine, config, group, backends(1), rmem);
+  Io writer(engine, config, group, "/scratch/t.bp", backends(0), wmem);
+  Io reader(engine, config, group, "/scratch/t.bp", backends(1), rmem);
   const nda::Dims dims = {16, 16};
   nda::Slab source = nda::Slab::synthetic(nda::Box::whole(dims), 99);
 
   engine.spawn([](Io& w, Io& r, nda::Dims dims, nda::Slab src) -> sim::Task<> {
     nda::VarDesc var{"u", dims, 0};
-    EXPECT_TRUE((co_await w.open_write("/scratch/t.bp")).is_ok());
-    EXPECT_TRUE((co_await w.write(var, src)).is_ok());
-    EXPECT_TRUE((co_await w.close()).is_ok());
-    EXPECT_TRUE((co_await w.commit(var)).is_ok());
+    EXPECT_TRUE((co_await w.init()).is_ok());
+    EXPECT_TRUE((co_await w.put(var, src)).is_ok());
+    EXPECT_TRUE((co_await w.publish(var)).is_ok());
 
-    EXPECT_TRUE((co_await r.open_read("/scratch/t.bp")).is_ok());
+    EXPECT_TRUE((co_await r.init()).is_ok());
     nda::Box whole = nda::Box::whole(dims);
     auto got = co_await r.read(var, whole);
     EXPECT_TRUE(got.has_value()) << got.status();
@@ -189,14 +188,14 @@ TEST_F(IoFixture, WriteReadRoundTripThroughLustre) {
 TEST_F(IoFixture, BufferOverflowFailsLikeAdios1x) {
   mem::ProcessMemory wmem(engine, "w");
   config.buffer_bytes = 1 * kKiB;
-  Io writer(engine, config, group, backends(0), wmem);
+  Io writer(engine, config, group, "/scratch/b.bp", backends(0), wmem);
   Status status;
   engine.spawn([](Io& w, Status& out) -> sim::Task<> {
     const nda::Dims dims = {64, 64};  // 32 KiB > 1 KiB buffer
     nda::VarDesc var{"u", dims, 0};
     nda::Slab content = nda::Slab::synthetic(nda::Box::whole(dims), 1);
-    EXPECT_TRUE((co_await w.open_write("/scratch/b.bp")).is_ok());
-    out = co_await w.write(var, content);
+    EXPECT_TRUE((co_await w.init()).is_ok());
+    out = co_await w.put(var, content);
   }(writer, status));
   engine.run();
   EXPECT_EQ(status.code(), ErrorCode::kOutOfMemory);
@@ -204,13 +203,13 @@ TEST_F(IoFixture, BufferOverflowFailsLikeAdios1x) {
 
 TEST_F(IoFixture, WriteBeforeOpenFails) {
   mem::ProcessMemory wmem(engine, "w");
-  Io writer(engine, config, group, backends(0), wmem);
+  Io writer(engine, config, group, "/scratch/n.bp", backends(0), wmem);
   Status status;
   engine.spawn([](Io& w, Status& out) -> sim::Task<> {
     const nda::Dims dims = {4};
     nda::VarDesc var{"u", dims, 0};
     nda::Slab content = nda::Slab::zeros(nda::Box::whole(dims));
-    out = co_await w.write(var, content);
+    out = co_await w.put(var, content);
   }(writer, status));
   engine.run();
   EXPECT_EQ(status.code(), ErrorCode::kFailedPrecondition);
@@ -222,21 +221,21 @@ TEST_F(IoFixture, StatsPassCostsTimeWhenEnabled) {
   with_stats.stats = true;
   AdiosConfig no_stats = config;
   no_stats.stats = false;
-  Io w1(engine, with_stats, group, backends(0), m1);
-  Io w2(engine, no_stats, group, backends(1), m2);
+  Io w1(engine, with_stats, group, "/scratch/s1.bp", backends(0), m1);
+  Io w2(engine, no_stats, group, "/scratch/s2.bp", backends(1), m2);
   double t_stats = 0, t_plain = 0;
   engine.spawn([](sim::Engine& e, Io& a, Io& b, double& ta,
                   double& tb) -> sim::Task<> {
     const nda::Dims dims = {256, 256};
     nda::VarDesc var{"u", dims, 0};
     nda::Slab content = nda::Slab::synthetic(nda::Box::whole(dims), 1);
-    EXPECT_TRUE((co_await a.open_write("/scratch/s1.bp")).is_ok());
-    EXPECT_TRUE((co_await b.open_write("/scratch/s2.bp")).is_ok());
+    EXPECT_TRUE((co_await a.init()).is_ok());
+    EXPECT_TRUE((co_await b.init()).is_ok());
     double t0 = e.now();
-    EXPECT_TRUE((co_await a.write(var, content)).is_ok());
+    EXPECT_TRUE((co_await a.put(var, content)).is_ok());
     ta = e.now() - t0;
     t0 = e.now();
-    EXPECT_TRUE((co_await b.write(var, content)).is_ok());
+    EXPECT_TRUE((co_await b.put(var, content)).is_ok());
     tb = e.now() - t0;
   }(engine, w1, w2, t_stats, t_plain));
   engine.run();
