@@ -774,6 +774,146 @@ def rule_detached_coroutine(ctx):
 
 
 # ---------------------------------------------------------------------------
+# coroutine-miscompile — two co_await forms GCC 12 compiles wrongly
+# ---------------------------------------------------------------------------
+
+# Standard class types whose braced temporaries have non-trivial
+# destructors. Project types are recognised by their CamelCase names.
+_STD_CLASSES = frozenset({
+    "string", "vector", "map", "set", "deque", "list", "function",
+    "optional", "variant", "shared_ptr", "unique_ptr", "pair", "tuple",
+})
+
+
+def _bracket_depth_step(tok, depth):
+    """New bracket depth after tok, or None when tok closes a bracket that
+    opened before the scan (the enclosing expression ends there)."""
+    if tok.kind != PUNCT:
+        return depth
+    if tok.text in ("(", "[", "{"):
+        return depth + 1
+    if tok.text in (")", "]", "}"):
+        return depth - 1 if depth > 0 else None
+    return depth
+
+
+def _conditional_end(ts, q):
+    """Index just past the third operand of the conditional whose `?` is at
+    q: the `;`, `,` or unmatched `:`/closing bracket that ends it."""
+    toks = ts.tokens
+    depth, pending = 0, 1
+    j = ts.next_code(q)
+    while j is not None:
+        tok = toks[j]
+        depth = _bracket_depth_step(tok, depth)
+        if depth is None:
+            return j
+        if depth == 0 and tok.kind == PUNCT:
+            if tok.text == "?":
+                pending += 1
+            elif tok.text == ":":
+                if pending == 0:
+                    return j
+                pending -= 1
+            elif tok.text in (";", ","):
+                return j
+        j = ts.next_code(j)
+    return len(toks)
+
+
+def _co_await_operand_end(ts, i):
+    """Index just past the operand of the co_await at i."""
+    toks = ts.tokens
+    depth = 0
+    j = ts.next_code(i)
+    while j is not None:
+        tok = toks[j]
+        depth = _bracket_depth_step(tok, depth)
+        if depth is None or (depth == 0 and tok.kind == PUNCT
+                             and tok.text in (";", ",", "?", ":")):
+            return j
+        j = ts.next_code(j)
+    return len(toks)
+
+
+def _braced_class_temporary(ts, brace):
+    """Type name if the `{` at brace opens a braced temporary of class type
+    (`T{`, `ns::T{`, `T<...>{`), else None. Lambda bodies (`) {`,
+    `-> R {`, `mutable {`) and plain init-lists do not match."""
+    toks = ts.tokens
+    j = ts.prev_code(brace)
+    if j is not None and toks[j].text in (">", ">>"):
+        depth = 0
+        while j is not None:
+            t = toks[j].text
+            depth += {">": 1, ">>": 2, "<": -1}.get(t, 0)
+            if t == "<" and depth == 0:
+                break
+            if t in (";", "{", "}", "(", ")"):
+                return None
+            j = ts.prev_code(j)
+        j = ts.prev_code(j) if j is not None else None
+    if j is None or toks[j].kind != ID:
+        return None
+    before = ts.prev_code(j)
+    if before is not None and toks[before].text == "->":
+        return None  # a lambda's trailing return type
+    name = toks[j].text
+    if name[0].isupper() or (_qualifier(ts, j) == "std"
+                             and name in _STD_CLASSES):
+        return name
+    return None
+
+
+def rule_coroutine_miscompile(ctx):
+    ts = ctx.stream
+    toks = ts.tokens
+    findings = []
+    for i, tok in enumerate(toks):
+        if tok.preproc:
+            continue
+        if tok.kind == PUNCT and tok.text == "?":
+            end = _conditional_end(ts, i)
+            hit = next((k for k in range(i + 1, end)
+                        if toks[k].kind == ID and toks[k].text == "co_await"
+                        and not toks[k].preproc), None)
+            if hit is not None:
+                findings.append(Finding(
+                    "coroutine-miscompile", ctx.path, toks[hit].line,
+                    "co_await inside a conditional operator: GCC 12 "
+                    "miscompiles the suspension (the Flexpath worlds "
+                    "aborted with free(): invalid pointer)",
+                    "await into a local in an if/else, then use the "
+                    "local"))
+        elif tok.kind == ID and tok.text == "co_await":
+            end = _co_await_operand_end(ts, i)
+            parens = 0
+            k = i + 1
+            while k < end:
+                t = toks[k]
+                if t.kind == PUNCT and t.text == "(":
+                    parens += 1
+                elif t.kind == PUNCT and t.text == ")":
+                    parens -= 1
+                elif t.kind == PUNCT and t.text == "{":
+                    name = _braced_class_temporary(ts, k) if parens else None
+                    if name is not None:
+                        findings.append(Finding(
+                            "coroutine-miscompile", ctx.path, t.line,
+                            f"braced temporary {name}{{...}} in the "
+                            "arguments of a co_await'ed call: GCC 12 "
+                            "destroys it wrongly across the suspension "
+                            "(free(): invalid pointer)",
+                            "bind the argument to a named local before "
+                            "the co_await"))
+                        break
+                    # Lambda bodies and init-lists: skip their contents.
+                    k = ts.match_brace(k) or k
+                k += 1
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Line rules — whitespace style, checked on the raw text
 # ---------------------------------------------------------------------------
 
@@ -872,6 +1012,9 @@ RULES = {
     "discarded-result": (
         rule_discarded_result, _not_tests,
         "(void)-discarded Status/Result"),
+    "coroutine-miscompile": (
+        rule_coroutine_miscompile, _everywhere,
+        "co_await forms GCC 12 miscompiles (in ?:, braced temporary args)"),
     "tab-indent": (
         rule_tab_indent, _everywhere,
         "tab characters in a source line"),

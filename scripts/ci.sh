@@ -51,17 +51,21 @@ fi
 
 # ThreadSanitizer pass over the sweep pool: the scenario fan-out and the
 # determinism harness run their worker threads under TSan, which would flag
-# any cross-world shared state the per-thread bindings missed.
-echo "==> TSan (sweep + check tests)"
+# any cross-world shared state the per-thread bindings missed. The slab
+# buffer pool is the one process-wide allocator every world shares, so its
+# cross-thread tests run here too.
+echo "==> TSan (sweep + check + buffer pool tests)"
 tsan_build="$repo/build-tsan"
 cmake -B "$tsan_build" -S "$repo" \
   -DCMAKE_BUILD_TYPE=Debug \
   -DIMC_CHECK=ON \
   -DIMC_SANITIZE="thread" \
   ${CMAKE_GENERATOR:+-G "$CMAKE_GENERATOR"}
-cmake --build "$tsan_build" -j "$(nproc)" --target test_sweep test_check
+cmake --build "$tsan_build" -j "$(nproc)" \
+  --target test_sweep test_check test_buffer_pool
 IMC_THREADS=8 "$tsan_build/tests/test_sweep"
 IMC_THREADS=8 "$tsan_build/tests/test_check"
+"$tsan_build/tests/test_buffer_pool"
 
 # Release-mode bench smoke: builds the benches without sanitizers, runs the
 # hot-path microbench subset plus two fast scenarios, and asserts the run

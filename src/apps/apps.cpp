@@ -1,5 +1,6 @@
 #include "apps/apps.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace imc::apps {
@@ -102,18 +103,25 @@ nda::Slab LaplaceSim::output(int version) const {
     return nda::Slab::synthetic(box, params_.seed);
   }
   // Tile the kernel grid over the declared field: element (i, j) is grid
-  // point (i % kn, j % kn).
+  // point (i % kn, j % kn). Every row of the box starts at column lb[1], so
+  // the box has at most kn distinct rows; build each once, then copy.
   const auto kn = static_cast<std::uint64_t>(kernel_.nx());
-  (void)version;
-  return nda::Slab::from_rows(box, [this, kn](const nda::Dims& row,
-                                              double* out,
-                                              std::uint64_t len) {
-    const auto i = static_cast<int>(row[0] % kn);
-    std::uint64_t j = row[1] % kn;
-    for (std::uint64_t c = 0; c < len; ++c) {
-      out[c] = kernel_.at(i, static_cast<int>(j));
+  const std::uint64_t distinct = std::min(kn, box.ub[0]);
+  const std::uint64_t width = box.extent(1);
+  std::vector<double> rows(distinct * width);
+  for (std::uint64_t i = 0; i < distinct; ++i) {
+    std::uint64_t j = box.lb[1] % kn;
+    for (std::uint64_t c = 0; c < width; ++c) {
+      rows[i * width + c] =
+          kernel_.at(static_cast<int>(i), static_cast<int>(j));
       if (++j == kn) j = 0;
     }
+  }
+  (void)version;
+  return nda::Slab::from_rows(box, [&rows, kn](const nda::Dims& row,
+                                               double* out,
+                                               std::uint64_t len) {
+    std::copy_n(rows.data() + row[0] % kn * len, len, out);
   });
 }
 

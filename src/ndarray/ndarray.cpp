@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 
@@ -244,8 +245,14 @@ Slab Slab::zeros(Box box) {
 
 Slab Slab::from_rows(Box box, const RowWriter& write_row) {
   Slab s;
+  if (box.volume() > std::numeric_limits<std::size_t>::max() / kElementBytes) {
+    throw std::bad_array_new_length();
+  }
+  const std::size_t bytes = box.volume() * kElementBytes;
   s.buf_ = std::make_shared<Buffer>(
-      Buffer{box, std::make_unique_for_overwrite<double[]>(box.volume())});
+      Buffer{box,
+             {static_cast<double*>(buffer_pool::allocate(bytes)),
+              buffer_pool::Deleter{bytes}}});
   s.box_ = std::move(box);
   if (s.box_.volume() == 0) return s;
   const std::uint64_t row_len = s.box_.extent(s.box_.dims() - 1);

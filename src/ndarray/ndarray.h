@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "common/buffer_pool.h"
 #include "common/rng.h"
 #include "common/status.h"
 
@@ -236,11 +237,12 @@ class Slab {
 
  private:
   // A materialized slab's elements, shared by its copies and windows, laid
-  // out row-major over `box`. Synthetic slabs, the many placeholders of the
-  // staging servers among them, carry no buffer and so no second box.
+  // out row-major over `box`, in storage from the process-wide buffer pool
+  // (DESIGN.md §18). Synthetic slabs, the many placeholders of the staging
+  // servers among them, carry no buffer and so no second box.
   struct Buffer {
     Box box;
-    std::unique_ptr<double[]> data;
+    std::unique_ptr<double[], buffer_pool::Deleter> data;
   };
 
   // Offset of `coord` in the buffer, whose row-major layout is buf_->box.

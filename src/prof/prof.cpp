@@ -130,6 +130,20 @@ Rusage read_rusage() {
   return usage;
 }
 
+ThreadUsage read_thread_usage() {
+  ThreadUsage usage;
+#if IMC_PROF_HAVE_POSIX && defined(RUSAGE_THREAD)
+  struct rusage ru;
+  if (getrusage(RUSAGE_THREAD, &ru) == 0) {
+    usage.ok = true;
+    usage.sys_s = static_cast<double>(ru.ru_stime.tv_sec) +
+                  static_cast<double>(ru.ru_stime.tv_usec) * 1e-6;
+    usage.minor_faults = ru.ru_minflt;
+  }
+#endif
+  return usage;
+}
+
 double wall_seconds() {
   static const std::chrono::steady_clock::time_point origin =
       std::chrono::steady_clock::now();

@@ -78,6 +78,16 @@ struct Rusage {
 };
 Rusage read_rusage();
 
+// The calling thread's kernel cost so far (getrusage(RUSAGE_THREAD)):
+// system CPU seconds and minor page faults. ok=false where the call is
+// unavailable (non-Linux hosts) — fields are then zero.
+struct ThreadUsage {
+  bool ok = false;
+  double sys_s = 0.0;
+  long minor_faults = 0;
+};
+ThreadUsage read_thread_usage();
+
 // Wall-clock seconds since a process-local origin. The only clock source
 // prof code uses; everything simulated keeps taking time from
 // sim::Engine::now().

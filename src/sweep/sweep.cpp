@@ -7,6 +7,7 @@
 #include <string>
 #include <thread>
 
+#include "common/buffer_pool.h"
 #include "common/env.h"
 #include "prof/prof.h"
 
@@ -32,25 +33,57 @@ double seconds_since(
       .count();
 }
 
+// Cumulative counters of the worker thread and its reused context,
+// snapshotted before a job so the job's own deltas can be recorded.
+struct Counters {
+  std::uint64_t allocations = 0;
+  std::uint64_t pool_hits = 0;
+  std::uint64_t heap_fallbacks = 0;
+  buffer_pool::Stats buffers;
+  prof::ThreadUsage usage;
+};
+
+Counters read_counters(const arena::Arena& arena) {
+  return Counters{arena.allocations(), arena.pool_hits(),
+                  arena.heap_fallbacks(), buffer_pool::thread_stats(),
+                  prof::read_thread_usage()};
+}
+
 // Resource accounting for one finished job, attributed to the worker's
-// prof lane. Arena counters are cumulative across a reused context, so the
-// caller snapshots them before the job and the deltas land here; log/trace
-// figures come straight from the retained captures. Wall-clock-free, but
-// still prof-only: nothing recorded here may reach a digest (DESIGN.md
+// prof lane: deltas of the counters snapshotted in `before` (the world ran
+// wholly on this thread, so the thread's kernel cost and buffer-pool
+// traffic are the world's own), the arena's and buffer pool's levels, and
+// log/trace figures straight from the retained captures. Wall-clock-free,
+// but still prof-only: nothing recorded here may reach a digest (DESIGN.md
 // §14), which is exactly what the prof meta channel guarantees.
 void note_world_stats(prof::Meter& m, const arena::Arena& arena,
-                      std::uint64_t allocations0, std::uint64_t pool_hits0,
-                      std::uint64_t heap_fallbacks0, const LogText& logs,
+                      const Counters& before, const LogText& logs,
                       const std::vector<trace::RunChunk>& chunks) {
+  const Counters after = read_counters(arena);
   m.sample("arena.reserved_bytes",
            static_cast<double>(arena.reserved_bytes()));
   m.sample("arena.outstanding", static_cast<double>(arena.outstanding()));
   m.count("arena.allocations",
-          static_cast<double>(arena.allocations() - allocations0));
+          static_cast<double>(after.allocations - before.allocations));
   m.count("arena.pool_hits",
-          static_cast<double>(arena.pool_hits() - pool_hits0));
+          static_cast<double>(after.pool_hits - before.pool_hits));
   m.count("arena.heap_fallbacks",
-          static_cast<double>(arena.heap_fallbacks() - heap_fallbacks0));
+          static_cast<double>(after.heap_fallbacks - before.heap_fallbacks));
+  m.count("buffer_pool.hits",
+          static_cast<double>(after.buffers.hits - before.buffers.hits));
+  m.count("buffer_pool.misses",
+          static_cast<double>(after.buffers.misses - before.buffers.misses));
+  m.count("buffer_pool.evictions",
+          static_cast<double>(after.buffers.evictions -
+                              before.buffers.evictions));
+  m.sample("buffer_pool.idle_bytes",
+           static_cast<double>(buffer_pool::stats().idle_bytes));
+  if (before.usage.ok && after.usage.ok) {
+    m.timing("world.sys_s", after.usage.sys_s - before.usage.sys_s);
+    m.count("world.minor_faults",
+            static_cast<double>(after.usage.minor_faults -
+                                before.usage.minor_faults));
+  }
   m.count("log.captured_bytes", static_cast<double>(logs.size()));
   m.count("log.captured_chunks", static_cast<double>(logs.chunks().size()));
   std::uint64_t events = 0;
@@ -80,20 +113,17 @@ void WorldContext::run(const std::function<void()>& job) {
   scope->log = &logs;
   scope->chunks = &chunks;
   // Per-job resource accounting needs before-values of the cumulative
-  // arena counters; prof::meter() is a constexpr nullptr when the IMC_PROF
+  // counters; prof::meter() is a constexpr nullptr when the IMC_PROF
   // compile option is off, so all of this folds away.
   prof::Meter* const meter = prof::meter();
-  const std::uint64_t allocations0 = meter ? arena_.allocations() : 0;
-  const std::uint64_t pool_hits0 = meter ? arena_.pool_hits() : 0;
-  const std::uint64_t heap_fallbacks0 = meter ? arena_.heap_fallbacks() : 0;
+  const Counters before = meter ? read_counters(arena_) : Counters{};
   // Keeps the captures (taken, so the Scope forwards nothing) on every
   // exit, the exceptional one included.
   auto keep = [&] {
     logs_ = std::move(logs);
     chunks_ = std::move(chunks);
     if (meter != nullptr) {
-      note_world_stats(*meter, arena_, allocations0, pool_hits0,
-                       heap_fallbacks0, logs_, chunks_);
+      note_world_stats(*meter, arena_, before, logs_, chunks_);
     }
   };
   try {

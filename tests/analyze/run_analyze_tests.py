@@ -41,6 +41,7 @@ CORPUS = {
     "co-await-under-lock": ("co_await_under_lock", 2),
     "detached-coroutine-lifetime": ("detached_coroutine_lifetime", 2),
     "discarded-result": ("discarded_result", 2),
+    "coroutine-miscompile": ("coroutine_miscompile", 5),
     "tab-indent": ("tab_indent", 2),
     "trailing-whitespace": ("trailing_whitespace", 2),
     "crlf": ("crlf", 1),

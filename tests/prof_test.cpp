@@ -9,9 +9,11 @@
 #include <string>
 #include <vector>
 
+#include "common/buffer_pool.h"
 #include "common/world.h"
 #include "fault/fault.h"
 #include "hpc/machine.h"
+#include "ndarray/ndarray.h"
 #include "prof/prof.h"
 #include "sweep/sweep.h"
 #include "trace/trace.h"
@@ -38,6 +40,21 @@ TEST(ProfHost, RusageReadsOnPosixHosts) {
   const prof::Rusage usage = prof::read_rusage();
   ASSERT_TRUE(usage.ok);
   EXPECT_GT(usage.max_rss_kb, 0);
+}
+
+TEST(ProfHost, ThreadUsageReadsOnLinuxAndGrowsWithFaults) {
+  const prof::ThreadUsage before = prof::read_thread_usage();
+  ASSERT_TRUE(before.ok);
+  // Touch fresh pages on this thread: each first write is a minor fault.
+  // No other test asks the buffer pool for this size, so it maps new pages
+  // (a heap block could reuse pages an earlier test already faulted in).
+  const std::size_t bytes = (4u << 20) + 3 * 4096;
+  auto* pages = static_cast<char*>(buffer_pool::allocate(bytes));
+  for (std::size_t i = 0; i < bytes; i += 4096) pages[i] = 1;
+  const prof::ThreadUsage after = prof::read_thread_usage();
+  buffer_pool::release(pages, bytes);
+  EXPECT_GT(after.minor_faults, before.minor_faults);
+  EXPECT_GE(after.sys_s, before.sys_s);
 }
 
 TEST(ProfHost, WallSecondsIsMonotonic) {
@@ -332,6 +349,49 @@ TEST(ProfSweep, LanesPopulateAcrossPoolPaths) {
     if (stats.contains("jobs")) jobs += stats.at("jobs").sum;
   }
   EXPECT_DOUBLE_EQ(jobs, 4.0);
+}
+
+TEST(ProfSweep, WorldsReportKernelCostAndBufferPoolTraffic) {
+  // Each job allocates one pooled slab twice over; the second request (and
+  // at width 1 every later job's first) is served from the free list.
+  const nda::Box box({0, 0}, {64, 1024});  // 512 KiB
+  auto job = [&box](std::size_t) {
+    for (int k = 0; k < 2; ++k) {
+      const nda::Slab slab = nda::Slab::zeros(box);
+      ASSERT_EQ(slab.at(nda::Dims{1, 1}), 0.0);
+    }
+  };
+  for (int threads : {1, 2}) {
+    prof::Collector collector;
+    prof::Collector* previous = prof::set_global_collector(&collector);
+    sweep::Pool(threads).run_indexed(4, job);
+    prof::set_global_collector(previous);
+    double hits = 0.0;
+    double misses = 0.0;
+    double worlds = 0.0;
+    for (const auto& [lane, stats] : collector.lanes()) {
+      if (!stats.contains("jobs")) continue;
+      for (const char* stat :
+           {"world.sys_s", "world.minor_faults", "buffer_pool.hits",
+            "buffer_pool.misses", "buffer_pool.evictions",
+            "buffer_pool.idle_bytes"}) {
+        EXPECT_TRUE(stats.contains(stat)) << lane << " " << stat;
+      }
+      hits += stats.at("buffer_pool.hits").sum;
+      misses += stats.at("buffer_pool.misses").sum;
+      worlds += static_cast<double>(stats.at("world.sys_s").count);
+      EXPECT_GE(stats.at("world.minor_faults").sum, 0.0);
+      // Alone, a world has released its buffer by the time it is sampled.
+      if (threads == 1) {
+        EXPECT_GE(stats.at("buffer_pool.idle_bytes").max, 512.0 * 1024.0);
+      }
+    }
+    EXPECT_DOUBLE_EQ(worlds, 4.0) << threads;
+    EXPECT_DOUBLE_EQ(hits + misses, 8.0) << threads;
+    if (threads == 1) {
+      EXPECT_GE(hits, 7.0);
+    }
+  }
 }
 
 TEST(ProfDigestExclusion, CollectorNeverPerturbsResultsOrTraces) {
