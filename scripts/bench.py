@@ -10,7 +10,8 @@ Per-scenario records hold the wall-clock seconds and a sha256 over stdout:
 the scenario output is fully deterministic (virtual times, bytes, modeled
 metrics), so the hash doubles as a fingerprint of the simulated results —
 a perf-only change must keep every stdout_sha256 stable while moving only
-wall_seconds.
+wall_seconds. Each scenario runs SCENARIO_RUNS times: wall_seconds is the
+fastest run, and the run fails if the stdout hash differs between runs.
 
 The full mode runs every scenario at IMC_THREADS=1 (the sequential path)
 and then at each sweep width in SWEEP_SCALING_THREADS, asserts the stdout
@@ -62,6 +63,11 @@ SCENARIOS = [
     "bench_ext_chaos",
 ]
 SMOKE_SCENARIOS = ["bench_tab1_configurations", "bench_fig6_index_cost"]
+
+# Runs per scenario at each width. The fastest is the least disturbed by
+# whatever else the host is doing, and equal hashes across the runs check
+# determinism within one width as well as across widths.
+SCENARIO_RUNS = 3
 
 # Full-mode sweep widths: every scenario re-runs at each width and the
 # speedup over the sequential pass lands in derived.sweep_scaling. The
@@ -292,7 +298,9 @@ def check_disabled_overhead(build_dir, micro, timeout, attempts=3):
 
 
 def run_scenarios(build_dir, names, timeout, threads=None):
-    """Runs each scenario bench; threads pins IMC_THREADS for the run."""
+    """Runs each scenario bench SCENARIO_RUNS times; threads pins
+    IMC_THREADS for the runs. Returns None if a scenario's stdout differs
+    between its runs."""
     env = dict(os.environ)
     if threads is not None:
         env["IMC_THREADS"] = str(threads)
@@ -300,13 +308,21 @@ def run_scenarios(build_dir, names, timeout, threads=None):
     results = {}
     for name in names:
         path = os.path.join(build_dir, "bench", name)
-        start = time.monotonic()
-        proc = run([path], stdout=subprocess.PIPE,
-                   stderr=subprocess.DEVNULL, timeout=timeout, env=env)
-        elapsed = time.monotonic() - start
+        elapsed = []
+        hashes = set()
+        for _ in range(SCENARIO_RUNS):
+            start = time.monotonic()
+            proc = run([path], stdout=subprocess.PIPE,
+                       stderr=subprocess.DEVNULL, timeout=timeout, env=env)
+            elapsed.append(time.monotonic() - start)
+            hashes.add(hashlib.sha256(proc.stdout).hexdigest())
+        if len(hashes) != 1:
+            print(f"FAIL: {name}{label} stdout differs between its "
+                  f"{SCENARIO_RUNS} runs", file=sys.stderr)
+            return None
         results[name] = {
-            "wall_seconds": round(elapsed, 3),
-            "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+            "wall_seconds": round(min(elapsed), 3),
+            "stdout_sha256": hashes.pop(),
             "stdout_lines": proc.stdout.count(b"\n"),
         }
         recovery = parse_recovery(proc.stdout)
@@ -319,8 +335,9 @@ def run_scenarios(build_dir, names, timeout, threads=None):
         durability = parse_durability(proc.stdout)
         if durability:
             results[name]["durability"] = durability
-        print(f"  {name}{label}: {elapsed:.2f}s, "
-              f"{results[name]['stdout_lines']} lines", flush=True)
+        print(f"  {name}{label}: {min(elapsed):.2f}s (fastest of "
+              f"{SCENARIO_RUNS}), {results[name]['stdout_lines']} lines",
+              flush=True)
     return results
 
 
@@ -391,6 +408,8 @@ def main():
         # run the gate at several thread counts and diff the hashes).
         scenario_results = run_scenarios(args.build_dir, scenarios,
                                          per_bench_timeout)
+        if scenario_results is None:
+            return 1
         sweep_threads = os.environ.get("IMC_THREADS", "default")
     else:
         # Sequential pass, then one sweep-pool pass per scaling width;
@@ -404,12 +423,16 @@ def main():
             default=SWEEP_SCALING_THREADS[0])
         scenario_results = run_scenarios(args.build_dir, scenarios,
                                          per_bench_timeout, threads=1)
+        if scenario_results is None:
+            return 1
         seq_total = sum(scenario_results[n]["wall_seconds"]
                         for n in scenarios)
         scaling = {}
         for threads in SWEEP_SCALING_THREADS:
             threaded = run_scenarios(args.build_dir, scenarios,
                                      per_bench_timeout, threads=threads)
+            if threaded is None:
+                return 1
             mismatched = [n for n in scenarios
                           if scenario_results[n]["stdout_sha256"]
                           != threaded[n]["stdout_sha256"]]

@@ -1,7 +1,8 @@
 // Process-wide pool of large element buffers (imc::buffer_pool).
 //
 // A materialized world allocates the same multi-hundred-KiB slab buffers
-// every step: each rank's output, each assembled read. Straight from the
+// every step: each rank's output, each read that is not a view of the
+// staged pieces (a gapped read, a compacted one). Straight from the
 // heap, glibc maps those sizes fresh and unmaps them on free, so every
 // step pays the kernel a page fault per 4 KiB on first touch, and sys time
 // exceeded user time on the Laplace workflow (DESIGN.md §18).

@@ -252,7 +252,8 @@ Slab Slab::from_rows(Box box, const RowWriter& write_row) {
   s.buf_ = std::make_shared<Buffer>(
       Buffer{box,
              {static_cast<double*>(buffer_pool::allocate(bytes)),
-              buffer_pool::Deleter{bytes}}});
+              buffer_pool::Deleter{bytes}},
+             {}});
   s.box_ = std::move(box);
   if (s.box_.volume() == 0) return s;
   const std::uint64_t row_len = s.box_.extent(s.box_.dims() - 1);
@@ -263,6 +264,37 @@ Slab Slab::from_rows(Box box, const RowWriter& write_row) {
     out += row_len;
   } while (next_row(coord, s.box_));
   return s;
+}
+
+Slab Slab::view(const Box& box, const std::vector<Slab>& pieces) {
+  assert(!box.empty());
+  std::vector<Slab> parts;
+  for (const Slab& piece : pieces) {
+    auto overlap = intersect(piece.box_, box);
+    if (!overlap) continue;
+    Slab part = piece.extract(*overlap);
+    if (part.is_view()) {
+      parts.insert(parts.end(), part.buf_->parts.begin(),
+                   part.buf_->parts.end());
+    } else {
+      parts.push_back(std::move(part));
+    }
+  }
+  assert(!parts.empty());
+  if (parts.size() == 1) return std::move(parts.front());
+  Slab s;
+  s.box_ = box;
+  s.buf_ = std::make_shared<Buffer>(Buffer{box, {}, std::move(parts)});
+  return s;
+}
+
+const Slab& Slab::part_at(const Dims& coord) const {
+  const auto& parts = buf_->parts;
+  const auto it = std::find_if(parts.begin(), parts.end(), [&](const Slab& p) {
+    return p.box_.contains_point(coord);
+  });
+  assert(it != parts.end());
+  return *it;
 }
 
 std::uint64_t Slab::offset_of(const Dims& coord) const {
@@ -277,6 +309,20 @@ std::uint64_t Slab::offset_of(const Dims& coord) const {
 
 void Slab::read_row(const Dims& row_start, double* out,
                     std::uint64_t len) const {
+  if (is_view()) {
+    // Each part the row crosses writes its own run of it.
+    const std::size_t last = row_start.size() - 1;
+    Box row(row_start, row_start);
+    for (std::uint64_t& ub : row.ub) ++ub;
+    row.ub[last] = row_start[last] + len;
+    for (const Slab& part : buf_->parts) {
+      if (auto run = intersect(part.box_, row)) {
+        part.read_row(run->lb, out + (run->lb[last] - row_start[last]),
+                      run->ub[last] - run->lb[last]);
+      }
+    }
+    return;
+  }
   if (buf_) {
     std::copy_n(buf_->data.get() + offset_of(row_start), len, out);
     return;
@@ -291,13 +337,14 @@ void Slab::read_row(const Dims& row_start, double* out,
 
 void Slab::detach() {
   assert(buf_);
-  if (buf_.use_count() == 1 && box_ == buf_->box) return;
+  if (!is_view() && buf_.use_count() == 1 && box_ == buf_->box) return;
   *this = from_rows(box_, [this](const Dims& c, double* out,
                                  std::uint64_t len) { read_row(c, out, len); });
 }
 
 double Slab::at(const Dims& coord) const {
   if (!buf_) return synthetic_value(seed_, coord);
+  if (is_view()) return part_at(coord).at(coord);
   return buf_->data[offset_of(coord)];
 }
 
@@ -326,13 +373,14 @@ void Slab::fill_from(const Slab& src) {
 Slab Slab::extract(const Box& sub) const {
   assert(box_.contains(sub));
   if (!buf_) return synthetic(sub, seed_);
+  if (is_view()) return view(sub, buf_->parts);
   Slab window = *this;
   window.box_ = sub;
   return window;
 }
 
 Slab Slab::materialize() const {
-  if (buf_) return *this;
+  if (buf_ && !is_view()) return *this;
   return from_rows(box_, [this](const Dims& c, double* out,
                                 std::uint64_t len) { read_row(c, out, len); });
 }
@@ -344,19 +392,23 @@ double Slab::checksum() const {
   const std::uint64_t row_len = box_.extent(static_cast<int>(nd) - 1);
   const std::uint64_t c0 = box_.lb[nd - 1];
   Dims coord = box_.lb;
+  // Rows without a buffer of their own (synthetic or a view's) are read
+  // into a scratch row first.
+  const bool direct = buf_ && !is_view();
+  std::vector<double> scratch(direct ? 0 : row_len);
   // Row-major accumulation in the exact per-element formula (coordinate
   // hash times value), so the sum stays bit-identical across rewrites.
   do {
     const std::uint64_t hash_prefix = row_prefix(0x9e3779b9, coord);
-    const std::uint64_t value_prefix =
-        buf_ ? 0 : row_prefix(splitmix64(seed_), coord);
-    const double* row = buf_ ? buf_->data.get() + offset_of(coord) : nullptr;
+    const double* row = scratch.data();
+    if (direct) {
+      row = buf_->data.get() + offset_of(coord);
+    } else {
+      read_row(coord, scratch.data(), row_len);
+    }
     for (std::uint64_t i = 0; i < row_len; ++i) {
       const std::uint64_t c = c0 + i;
-      const double value =
-          row != nullptr ? row[i]
-                         : unit_from_hash(splitmix64(value_prefix ^ c));
-      sum += static_cast<double>(splitmix64(hash_prefix ^ c) >> 40) * value;
+      sum += static_cast<double>(splitmix64(hash_prefix ^ c) >> 40) * row[i];
     }
   } while (next_row(coord, box_));
   return sum;
@@ -405,10 +457,9 @@ Slab assemble(const Box& box, const std::vector<Slab>& pieces) {
         return !p.is_materialized() && p.seed() == seed;
       });
   if (tiled && one_definition) return Slab::synthetic(box, seed);
-  // Rows no piece covers must read as zero; a tiling overwrites them all.
-  Slab out = tiled ? Slab::from_rows(box, [](const Dims&, double*,
-                                             std::uint64_t) {})
-                   : Slab::zeros(box);
+  if (tiled && !box.empty()) return Slab::view(box, pieces);
+  // A gap reads as zero; where pieces overlap, the later one wins.
+  Slab out = Slab::zeros(box);
   for (const Slab& piece : pieces) out.fill_from(piece);
   return out;
 }

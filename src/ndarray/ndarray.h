@@ -20,7 +20,10 @@
 // no write is ever visible through another slab. Bytes are produced only
 // where a reader needs them: from_rows() writes each element once into an
 // uninitialized buffer, and assemble() keeps a read synthetic whenever the
-// pieces it is built from tile it with one synthetic definition.
+// pieces it is built from tile it with one synthetic definition. Any other
+// tiled read is a view: a slab that holds the pieces' windows and reads
+// each element from the one that covers it, so no byte is copied until
+// something writes through it or compacts it with materialize().
 #pragma once
 
 #include <algorithm>
@@ -207,6 +210,7 @@ class Slab {
   static Slab from_rows(Box box, const RowWriter& write_row);
 
   const Box& box() const { return box_; }
+  // True for every slab that holds real bytes: plain windows and views.
   bool is_materialized() const { return buf_ != nullptr; }
   std::uint64_t seed() const { return seed_; }
   std::uint64_t declared_bytes() const { return box_.volume() * kElementBytes; }
@@ -217,15 +221,18 @@ class Slab {
 
   // Copies the intersection of `src` into this slab (materialized target;
   // synthetic or materialized source). A materialized source covering the
-  // whole target is shared, not copied.
+  // whole target, a view among them, is shared, not copied.
   void fill_from(const Slab& src);
 
   // A slab covering `sub` (must be inside the box) with the same content:
-  // a window onto the same buffer, or a synthetic slab of the same seed.
+  // a window onto the same buffer, a synthetic slab of the same seed, or
+  // for a view a view of the parts `sub` crosses (the one part's own
+  // extract when it crosses one).
   Slab extract(const Box& sub) const;
 
-  // A materialized slab with this slab's content (this slab itself when it
-  // is already materialized).
+  // A materialized slab with its own compact buffer unless this slab is
+  // already a plain window (then this slab itself). A view is compacted,
+  // so what it returns pins none of the view's parts.
   Slab materialize() const;
 
   // Order-independent content fingerprint over the slab: sum of
@@ -238,13 +245,25 @@ class Slab {
  private:
   // A materialized slab's elements, shared by its copies and windows, laid
   // out row-major over `box`, in storage from the process-wide buffer pool
-  // (DESIGN.md §18). Synthetic slabs, the many placeholders of the staging
-  // servers among them, carry no buffer and so no second box.
+  // (DESIGN.md §18). A view's buffer has no `data` but `parts` instead:
+  // plain slabs (windows or synthetic) over disjoint boxes that tile `box`.
+  // Synthetic slabs, the many placeholders of the staging servers among
+  // them, carry no buffer and so no second box.
   struct Buffer {
     Box box;
     std::unique_ptr<double[], buffer_pool::Deleter> data;
+    std::vector<Slab> parts;
   };
 
+  // The slab over `box` whose elements are those of the one piece that
+  // covers each; `pieces` must tile the non-empty `box`. A single part is
+  // returned as it is, more become the parts of a view. A piece that is
+  // itself a view contributes its parts, so views never nest.
+  static Slab view(const Box& box, const std::vector<Slab>& pieces);
+
+  bool is_view() const { return buf_ && !buf_->data; }
+  // The part of this view that holds `coord`.
+  const Slab& part_at(const Dims& coord) const;
   // Offset of `coord` in the buffer, whose row-major layout is buf_->box.
   std::uint64_t offset_of(const Dims& coord) const;
   // Writes this slab's `len` elements from `row_start` on to `out`.
@@ -252,10 +271,18 @@ class Slab {
   // Gives this slab a private buffer laid out exactly over box_.
   void detach();
 
+  friend Slab assemble(const Box& box, const std::vector<Slab>& pieces);
+
   Box box_;
   std::uint64_t seed_ = 0;
   std::shared_ptr<Buffer> buf_;  // null for a synthetic slab
 };
+
+// Staging placeholders and coroutine frames copy slabs by the million, so a
+// view keeps its parts behind buf_ and a slab stays a box, a seed and one
+// shared pointer.
+static_assert(sizeof(Slab) == sizeof(Box) + sizeof(std::uint64_t) +
+                                 sizeof(std::shared_ptr<int>));
 
 // Largest read a staging method assembles into real bytes. Larger reads of
 // the paper-scale runs stay synthetic.
@@ -268,7 +295,11 @@ inline constexpr std::uint64_t kAssembleCapElems = 1ull << 22;
 //   * pieces that tile `box` (cover each element exactly once) and are all
 //     synthetic with one seed give synthetic(box, seed), which has the same
 //     content element for element;
+//   * other pieces that tile a non-empty `box` give a view over their
+//     windows, which copies no byte (one covering piece gives its window);
 //   * otherwise the box is materialized, zero where no piece covers it.
+// A view pins the buffers of the pieces' slabs while it lives; a reader
+// that keeps one across steps compacts it with materialize().
 Slab assemble(const Box& box, const std::vector<Slab>& pieces);
 
 }  // namespace imc::nda

@@ -422,7 +422,9 @@ sim::Task<> analyze_step(Ctx& ctx, int a, int step, const nda::Slab& got,
   const Spec& spec = ctx.spec;
   double titan_seconds = 0.05;
   if (spec.app == AppSel::kLammps) {
-    if (step == 0) reference = got;
+    // A view would pin the step-0 writer buffers for the whole run, so a
+    // materialized reference is compacted; a synthetic one stays synthetic.
+    if (step == 0) reference = got.is_materialized() ? got.materialize() : got;
     const double msd = apps::mean_squared_displacement(reference, got, 512);
     if (a == 0) ctx.analysis_sample = msd;  // rank 0's value: deterministic
     titan_seconds = apps::msd_titan_seconds_per_step(box_bytes);

@@ -1,6 +1,6 @@
 // imc::buffer_pool: exact-size recycling, the footprint cap, cross-thread
-// release, and the slab contract on recycled storage — zeros() and a tiled
-// assemble() never show a buffer's previous contents.
+// release, and the slab contract on recycled storage — zeros() and the
+// compaction of a view never show a buffer's previous contents.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -87,10 +87,12 @@ TEST(BufferPool, ZerosOnARecycledDirtiedBufferReadsAllZeros) {
   }
 }
 
-TEST(BufferPool, TiledAssembleIntoARecycledBufferMatchesTheOracle) {
+TEST(BufferPool, TiledAssembleTakesNoBufferAndItsMaterializeMatchesTheOracle) {
   // Four materialized column blocks, each below the pooling threshold,
-  // tile a read box exactly; assemble() skips the zero fill for a tiling,
-  // so every element must come from a piece, not the recycled bytes.
+  // tile a read box exactly. assemble() returns a view over them, which
+  // takes no buffer; materialize() compacts the view into a recycled
+  // buffer it does not zero first, so every element must come from a
+  // piece, not the recycled bytes.
   const Box box = box_of(2 * kPooled);
   const std::uint64_t rows = box.ub[0];
   std::vector<Slab> pieces;
@@ -106,14 +108,20 @@ TEST(BufferPool, TiledAssembleIntoARecycledBufferMatchesTheOracle) {
             std::fill_n(out, len, -3.0);
           });
     }
-    const std::uint64_t hits0 = hits();
+    const buffer_pool::Stats before = buffer_pool::thread_stats();
     const Slab got = nda::assemble(box, pieces);
-    EXPECT_EQ(hits(), hits0 + 1);
+    const buffer_pool::Stats after = buffer_pool::thread_stats();
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
     ASSERT_TRUE(got.is_materialized());
+
+    const std::uint64_t hits0 = hits();
+    const Slab compact = got.materialize();
+    EXPECT_EQ(hits(), hits0 + 1);  // the dirtied buffer came back
     for (std::uint64_t i = 0; i < rows; ++i) {
       for (std::uint64_t j = 0; j < box.ub[1]; ++j) {
         const Dims c{i, j};
-        ASSERT_EQ(got.at(c), nda::synthetic_value(41 + j / 64, c))
+        ASSERT_EQ(compact.at(c), nda::synthetic_value(41 + j / 64, c))
             << "round " << round << " at " << i << "," << j;
       }
     }

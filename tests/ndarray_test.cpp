@@ -595,6 +595,149 @@ TEST(Assemble, MatchesPerElementOracleOnRandomDecompositions) {
   EXPECT_GT(materialized_results, 20);
 }
 
+// A random non-empty box inside `box`.
+Box random_sub_box(Rng& rng, const Box& box) {
+  Box sub;
+  for (std::size_t d = 0; d < box.lb.size(); ++d) {
+    const std::uint64_t lo =
+        box.lb[d] + rng.next_below(box.extent(static_cast<int>(d)));
+    sub.lb.push_back(lo);
+    sub.ub.push_back(lo + 1 + rng.next_below(box.ub[d] - lo));
+  }
+  return sub;
+}
+
+// `box` cut on a random grid of at most three blocks per dimension.
+std::vector<Box> random_cut(Rng& rng, const Box& box) {
+  Dims extents(box.lb.size());
+  std::vector<int> procs;
+  for (std::size_t d = 0; d < extents.size(); ++d) {
+    extents[d] = box.extent(static_cast<int>(d));
+    procs.push_back(1 + static_cast<int>(rng.next_below(
+                            std::min<std::uint64_t>(extents[d], 3))));
+  }
+  std::vector<Box> blocks = decompose_grid(extents, procs);
+  for (Box& b : blocks) {
+    for (std::size_t d = 0; d < extents.size(); ++d) {
+      b.lb[d] += box.lb[d];
+      b.ub[d] += box.lb[d];
+    }
+  }
+  return blocks;
+}
+
+TEST(Assemble, TiledViewsMatchTheOracleAndNeverShareAWrite) {
+  // Writers of mixed kinds and seeds tile a ragged global array; a read of
+  // a random box is assembled from their windows, and a second read of the
+  // same box from extracts of the first (a view of extracts of views) mixed
+  // with fresh writer windows. Every slab operation on both reads is
+  // checked against the per-element oracle of the writers' content.
+  Rng rng(77);
+  int views = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t nd = 1 + rng.next_below(3);
+    Dims global(nd);
+    std::vector<int> procs(nd);
+    for (std::size_t d = 0; d < nd; ++d) {
+      global[d] = 1 + rng.next_below(13);
+      procs[d] = 1 + static_cast<int>(rng.next_below(std::min<std::uint64_t>(
+                         global[d], 5)));
+    }
+    std::vector<Slab> writers;
+    for (const Box& b : decompose_grid(global, procs)) {
+      const Slab out = Slab::synthetic(b, 50 + rng.next_below(3));
+      writers.push_back(rng.next_below(2) == 0 ? out.materialize() : out);
+    }
+    const auto writer_of = [&](const Dims& c) -> Slab& {
+      for (Slab& w : writers) {
+        if (w.box().contains_point(c)) return w;
+      }
+      throw std::logic_error("the writers do not tile the array");
+    };
+    const Box box = random_sub_box(rng, Box::whole(global));
+    Slab expected = Slab::zeros(box);
+    for_each_coord(box, [&](const Dims& c) {
+      expected.set(c, writer_of(c).at(c));
+    });
+    const auto windows = [&](const Box& within) {
+      std::vector<Slab> pieces;
+      for (const Slab& w : writers) {
+        if (auto overlap = intersect(w.box(), within)) {
+          pieces.push_back(w.extract(*overlap));
+        }
+      }
+      return pieces;
+    };
+
+    const Slab got = assemble(box, windows(box));
+    std::vector<Slab> nested;
+    for (const Box& block : random_cut(rng, box)) {
+      if (rng.next_below(3) == 0) {
+        for (Slab& piece : windows(block)) nested.push_back(std::move(piece));
+      } else {
+        nested.push_back(got.extract(block));
+      }
+    }
+    const Slab again = assemble(box, nested);
+    views += got.is_materialized() && windows(box).size() > 1 ? 1 : 0;
+
+    for (const Slab* read : {&got, &again}) {
+      ASSERT_EQ(read->box(), box);
+      for_each_coord(box, [&](const Dims& c) {
+        ASSERT_EQ(read->at(c), expected.at(c)) << "trial " << trial;
+      });
+      EXPECT_EQ(read->checksum(), expected.checksum()) << "trial " << trial;
+      const Slab compact = read->materialize();
+      EXPECT_EQ(compact.checksum(), expected.checksum()) << "trial " << trial;
+
+      const Box sub = random_sub_box(rng, box);
+      const Slab part = read->extract(sub);
+      ASSERT_EQ(part.box(), sub);
+      for_each_coord(sub, [&](const Dims& c) {
+        ASSERT_EQ(part.at(c), expected.at(c)) << "trial " << trial;
+      });
+
+      // A target the read covers shares it; a larger one copies the
+      // overlap onto its zeros.
+      for (const Box& target :
+           {sub, random_sub_box(rng, Box::whole(global))}) {
+        Slab filled = Slab::zeros(target);
+        filled.fill_from(*read);
+        for_each_coord(target, [&](const Dims& c) {
+          ASSERT_EQ(filled.at(c), box.contains_point(c) ? expected.at(c) : 0.0)
+              << "trial " << trial;
+        });
+      }
+
+      // A write through the read's own extract (for a view, a new view
+      // that nothing else holds), by set or fill_from, reaches neither the
+      // read nor the writers.
+      if (!read->is_materialized()) continue;
+      Slab written = read->extract(box);
+      written.set(box.lb, 1e9);
+      written.fill_from(Slab::synthetic(sub, 99));
+      EXPECT_EQ(written.at(box.lb), sub.contains_point(box.lb)
+                                        ? synthetic_value(99, box.lb)
+                                        : 1e9);
+      EXPECT_EQ(read->at(box.lb), expected.at(box.lb));
+      EXPECT_EQ(writer_of(box.lb).at(box.lb), expected.at(box.lb));
+    }
+
+    // Nor does a write through a materialized writer after the reads.
+    for (Slab& w : writers) {
+      if (!w.is_materialized()) continue;
+      auto overlap = intersect(w.box(), box);
+      if (!overlap) continue;
+      w.set(overlap->lb, -1e9);
+      EXPECT_EQ(got.at(overlap->lb), expected.at(overlap->lb));
+      EXPECT_EQ(again.at(overlap->lb), expected.at(overlap->lb));
+    }
+    EXPECT_EQ(got.checksum(), expected.checksum()) << "trial " << trial;
+    EXPECT_EQ(again.checksum(), expected.checksum()) << "trial " << trial;
+  }
+  EXPECT_GT(views, 50);
+}
+
 TEST(Assemble, LargeReadsStaySyntheticAndEmptyBoxesAreMaterialized) {
   const Box big({0, 0}, {4096, 2048});  // above kAssembleCapElems
   ASSERT_GT(big.volume(), kAssembleCapElems);
